@@ -564,8 +564,7 @@ mod tests {
     fn serve_future_backs_a_call_through_a_sharded_reactor() {
         let net = Network::new(NetworkConfig::lan(), 19);
         let proc_ = std::sync::Arc::new(specrpc::echo::build_echo_proc(4, None).unwrap());
-        let sharded =
-            echo_service(proc_.clone()).serve_sharded(&net, &[ECHO_PORT, ECHO_PORT + 1], 2, 0);
+        let sharded = echo_service(proc_.clone()).serve(&net, &[ECHO_PORT, ECHO_PORT + 1], 2, 0);
         let clnt = ClntUdp::create(&net, 7002, ECHO_PORT, ECHO_PROG, ECHO_VERS);
         let mut spec = SpecClient::from_parts(clnt, proc_);
         let args = spec.args(vec![], vec![vec![9, 8, 7, 6]]);

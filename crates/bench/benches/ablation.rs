@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §7): four marshaling implementations for the same
+//! Ablation: four marshaling implementations for the same
 //! workload —
 //!
 //! 1. `interpreted` — the generic IR stub run in the Tempo interpreter

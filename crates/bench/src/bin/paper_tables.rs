@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Prints Tables 1–4 side by side with the paper's reported values, and
-//! the six Figure 6 series. See EXPERIMENTS.md for the recorded output.
+//! the six Figure 6 series.
 
 use specrpc_bench::*;
 use specrpc_netsim::platform::Platform;
@@ -15,7 +15,7 @@ fn main() {
     println!("   Automatic Program Specialization\" — Tables 1-4 and Figure 6 ==\n");
     println!("Op counts are measured from real executions of the generic and");
     println!("specialized marshaling code; platform cost models supply the 1997");
-    println!("per-event weights (see DESIGN.md, substitution table).\n");
+    println!("per-event weights (see specrpc_netsim::platform).\n");
 
     let mut fig6: Vec<(String, Vec<(usize, f64)>)> = Vec::new();
 

@@ -1,7 +1,7 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (§5).
 //!
-//! Method (see DESIGN.md): the operation counts come from **really
+//! Method (see `specrpc_netsim::platform`): the operation counts come from **really
 //! executing** our generic and specialized marshaling code on the
 //! workload; the per-platform cost weights ([`Platform::costs`]) convert
 //! those counts into modeled 1997 milliseconds. Absolute values are

@@ -331,7 +331,8 @@ impl TcpEchoBench {
     }
 }
 
-/// The echo deployment on the event-driven serving core, driven through
+/// The echo deployment on the event-driven serving core (a one-shard
+/// [`SpecService::serve`](crate::SpecService::serve) map), driven through
 /// batched pipelined calls — what the `batched` criterion scenario
 /// measures. The reactor worker(s) process requests off the driving
 /// thread, so with a batch in flight the server's decode → handler →
@@ -344,7 +345,7 @@ pub struct BatchEchoBench {
     /// Specialized client (pool shared with the serving side).
     pub spec: SpecClient<ClntUdp>,
     /// The event-driven service (registry + reactor counters).
-    pub service: crate::service::EventService,
+    pub service: crate::service::ShardedService,
     /// Array size this deployment is specialized for.
     pub n: usize,
     /// Calls per batch.
@@ -373,14 +374,16 @@ impl BatchEchoBench {
         let pool = Arc::new(specrpc_rpc::BufPool::with_max_slots(3 * batch + 16));
         let registry = Arc::new(specrpc_rpc::SvcRegistry::with_pool(pool));
         echo_service(proc_.clone()).install(&registry);
-        let reactor = specrpc_rpc::svc_event::serve_udp_event(
+        let reactor = specrpc_rpc::svc_shard::serve_udp_sharded(
             &net,
-            ECHO_PORT,
+            &[ECHO_PORT],
             registry.clone(),
+            1,
             workers,
             None,
+            specrpc_rpc::svc_udp::DUP_CACHE_ENTRIES,
         );
-        let service = crate::service::EventService { registry, reactor };
+        let service = crate::service::ShardedService { registry, reactor };
         let clnt = ClntUdp::create_pooled(
             &net,
             5002,

@@ -90,57 +90,10 @@
 //!   independent requests dispatch concurrently.
 //! - [`StubCache`] is `Arc`/`Mutex`-based: equal contexts compile exactly
 //!   once no matter how many threads race on the lookup.
-//! - [`SpecService::serve_threaded`] puts a worker pool in front of one
-//!   shared registry — per-datagram round-robin for UDP, per-connection
-//!   pinning for TCP — and surfaces per-worker dispatch counts through
-//!   [`Summary::with_threads`].
-//!
-//! A threaded deployment end to end:
-//!
-//! ```
-//! use specrpc::{ProcSpec, SpecClient, SpecService, StubCache, Summary};
-//! use specrpc_netsim::net::{Network, NetworkConfig};
-//! use specrpc_rpc::ClntUdp;
-//! use specrpc_tempo::compile::StubArgs;
-//! use std::sync::Arc;
-//!
-//! const IDL: &str = r#"
-//!     program NEGPROG {
-//!         version NEGVERS { int NEG(int) = 1; } = 1;
-//!     } = 0x20000778;
-//! "#;
-//!
-//! let cache = Arc::new(StubCache::new());
-//! let proc_ = ProcSpec::new(IDL, 1).compile(None, Some(&cache)).unwrap();
-//!
-//! let net = Network::new(NetworkConfig::lan(), 1);
-//! // Four dispatch workers share one registry (and the one cache-held
-//! // stub set); each datagram is processed on a worker thread.
-//! let served = SpecService::new()
-//!     .proc(proc_.clone(), |args: &StubArgs| {
-//!         StubArgs::new(vec![-args.scalars.last().unwrap()], vec![])
-//!     })
-//!     .serve_threaded(&net, 901, 4);
-//!
-//! let transport = ClntUdp::create(&net, 5002, 901, 0x2000_0778, 1);
-//! let mut client = SpecClient::builder(transport)
-//!     .compiled(proc_)
-//!     .build()
-//!     .unwrap();
-//! for i in 0..8 {
-//!     let (out, _) = client.call(&client.args(vec![i], vec![])).unwrap();
-//!     assert_eq!(*out.scalars.last().unwrap(), -i);
-//! }
-//!
-//! // Per-worker dispatch counts flow into the Summary report.
-//! let per_thread = served.per_thread_dispatches();
-//! assert_eq!(per_thread.iter().sum::<u64>(), 8);
-//! let report = Summary::default()
-//!     .with_cache(cache.stats())
-//!     .with_threads(per_thread)
-//!     .render();
-//! assert!(report.contains("threaded dispatch"));
-//! ```
+//! - [`SpecService::serve`] drains one shared registry from reactor
+//!   worker threads, and [`SpecService::serve_tcp_pinned`] pins each TCP
+//!   connection to one of a pool of worker threads (see "Scaling the
+//!   server" below).
 //!
 //! # The wire path
 //!
@@ -218,30 +171,36 @@
 //!
 //! # Scaling the server
 //!
-//! Three serving front ends share one dispatch stack (registry, dup
-//! cache, buffer pool, zero-copy encode):
+//! Two UDP serving fronts share one dispatch stack (registry, dup cache,
+//! buffer pool, zero-copy encode):
 //!
 //! - [`SpecService::serve_udp`] — a blocking per-address handler slot;
-//!   the measured baseline. In-flight deliveries to one address
+//!   the measured baseline and the reference path the byte-identity
+//!   tests compare against. In-flight deliveries to one address
 //!   serialize on the slot lock.
-//! - [`SpecService::serve_threaded`] — a worker pool behind the slot;
-//!   dispatch runs on worker OS threads but the delivering thread still
-//!   blocks per datagram on the reply hand-off.
-//! - [`SpecService::serve_event`] — the **event-driven core**:
-//!   deliveries become readiness events and reactor workers drain them
-//!   round-robin, so any number of requests are in flight at once and
-//!   nothing blocks the thread driving the network. This is what makes
-//!   batching pay: [`SpecClient::call_batch`] keeps N pipelined
-//!   requests outstanding (one reused `WireBuf` scratch per slot,
-//!   xid-matched completion, results in submission order), so the fixed
-//!   per-call round-trip overhead is paid once per batch — the same way
-//!   the compiled stubs amortize per-element marshaling overhead.
+//! - [`SpecService::serve`] — the **event-driven core**, a shard map of
+//!   reactors: deliveries become readiness events, address `a` belongs
+//!   to shard `a % shards`, each shard's workers drain its addresses
+//!   round-robin, and a shard whose sockets run dry steals one datagram
+//!   at a time from its peers. Any number of requests are in flight at
+//!   once and nothing blocks the thread driving the network. This is
+//!   what makes batching pay: [`SpecClient::call_batch`] keeps N
+//!   pipelined requests outstanding (one reused `WireBuf` scratch per
+//!   slot, xid-matched completion, results in submission order), so the
+//!   fixed per-call round-trip overhead is paid once per batch — the
+//!   same way the compiled stubs amortize per-element marshaling
+//!   overhead.
 //!
-//! With one reactor worker and one driving thread, traces are byte- and
-//! virtual-time-identical to `serve_udp`; per-worker throughput flows
-//! into the report via [`Summary::with_events`].
+//! With one shard, one reactor worker and one driving thread, traces are
+//! byte- and virtual-time-identical to `serve_udp`. With
+//! `workers_per_shard = 0` the map runs in **deterministic single-driver
+//! mode** — no threads, every delivery executed inline by whichever
+//! thread drives the network — and replies are byte- and
+//! virtual-time-identical for any shard count. Per-shard throughput
+//! flows into the report via [`Summary::with_shards`]; reply-latency
+//! quantiles via [`Summary::with_latency`].
 //!
-//! A batched deployment end to end:
+//! A batched call against a sharded deployment, end to end:
 //!
 //! ```
 //! use specrpc::{ProcSpec, SpecClient, SpecService, Summary};
@@ -258,14 +217,14 @@
 //! let proc_ = ProcSpec::new(IDL, 1).compile(None, None).unwrap();
 //!
 //! let net = Network::new(NetworkConfig::lan(), 1);
-//! // Two reactor workers drain the readiness queue; requests to this
+//! // Two sockets on two shards, one reactor worker each; requests to
 //! // one address process in parallel instead of serializing.
 //! let served = SpecService::new()
 //!     .proc(proc_.clone(), |args: &StubArgs| {
 //!         let v = *args.scalars.last().unwrap();
 //!         StubArgs::new(vec![v * v], vec![])
 //!     })
-//!     .serve_event(&net, 903, 2);
+//!     .serve(&net, &[903, 904], 2, 1);
 //!
 //! let transport = ClntUdp::create(&net, 5004, 903, 0x2000_0779, 1);
 //! let mut client = SpecClient::builder(transport)
@@ -282,51 +241,8 @@
 //!     assert_eq!(*out.scalars.last().unwrap(), x * x);
 //! }
 //!
-//! // Reactor throughput flows into the report.
-//! assert_eq!(served.total_events(), 8);
-//! let report = Summary::default()
-//!     .with_events(served.per_worker_events())
-//!     .render();
-//! assert!(report.contains("event loop"));
-//! ```
-//!
-//! ## Sharding the reactor
-//!
-//! Past one reactor, [`SpecService::serve_sharded`] partitions the
-//! *(prog, vers, addr)* space across N reactors: each shard owns a
-//! slice of the serving sockets together with that slice's
-//! duplicate-request caches and buffer pool, and a shard whose own
-//! sockets run dry steals one datagram at a time from its peers. With
-//! `workers_per_shard = 0` the map runs in **deterministic
-//! single-driver mode** — no threads, every delivery executed inline by
-//! whichever thread drives the network — and replies are byte- and
-//! virtual-time-identical to a 1-shard (or `serve_udp`) deployment:
-//! shard assignment moves ownership, never delivery order. Per-shard
-//! throughput flows into the report via [`Summary::with_shards`];
-//! reply-latency quantiles via [`Summary::with_latency`].
-//!
-//! ```
-//! use specrpc::echo::{build_echo_proc, echo_service, ECHO_PROG, ECHO_VERS};
-//! use specrpc::{SpecClient, Summary};
-//! use specrpc_netsim::net::{Network, NetworkConfig};
-//! use specrpc_rpc::ClntUdp;
-//! use std::sync::Arc;
-//!
-//! let net = Network::new(NetworkConfig::lan(), 5);
-//! let proc_ = Arc::new(build_echo_proc(8, None).unwrap());
-//! // Four sockets partitioned across two shards, single-driver mode.
-//! let ports = [910, 911, 912, 913];
-//! let served = echo_service(proc_.clone()).serve_sharded(&net, &ports, 2, 0);
-//!
-//! for (i, &port) in ports.iter().enumerate() {
-//!     let transport = ClntUdp::create(&net, 5200 + i as u32, port, ECHO_PROG, ECHO_VERS);
-//!     let mut client = SpecClient::from_parts(transport, proc_.clone());
-//!     let args = client.args(vec![], vec![vec![1, 2, 3, 4, 5, 6, 7, 8]]);
-//!     let (out, _path) = client.call(&args).unwrap();
-//!     assert_eq!(out.arrays[0], vec![1, 2, 3, 4, 5, 6, 7, 8]);
-//! }
-//!
-//! assert_eq!(served.total_events(), 4);
+//! // Per-shard throughput flows into the report (903 is on shard 1).
+//! assert_eq!(served.per_shard_events(), vec![0, 8]);
 //! let report = Summary::default()
 //!     .with_shards(served.per_shard_events())
 //!     .render();
@@ -450,6 +366,6 @@ pub use scenario::{
     deploy_nfs_service, run_adaptive, run_nfs, run_scale, run_scale_single_shard,
     AdaptiveScenarioConfig, AdaptiveScenarioReport, NfsConfig, NfsReport, ScaleConfig, ScaleReport,
 };
-pub use service::{EventService, ShardedService, SpecHandler, SpecService, ThreadedService};
+pub use service::{ShardedService, SpecHandler, SpecService};
 pub use specializer::{CompileJob, Specializer, SpecializerStats};
 pub use summary::{ChaosSummary, LatencyHistogram, Summary, WireStats};

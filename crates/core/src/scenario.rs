@@ -7,7 +7,7 @@
 //! a random instant inside an arrival window, against a service hosting
 //! one procedure per array shape with a zipf-ranked shape mix (small
 //! requests dominate, heavy tails exist). The server side is a
-//! [`SpecService::serve_sharded`] map; the client side is raw pre-encoded
+//! [`SpecService::serve`] shard map; the client side is raw pre-encoded
 //! datagrams — one wire template per shape with only the xid patched per
 //! request — so the open loop costs O(1) client state per endpoint and
 //! the run scales to a million senders in one process.
@@ -285,7 +285,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
     );
     let service = deploy_scale_service(cfg)?;
     let ports = cfg.ports();
-    let sharded = service.serve_sharded(&net, &ports, cfg.shards, cfg.workers_per_shard);
+    let sharded = service.serve(&net, &ports, cfg.shards, cfg.workers_per_shard);
 
     let templates: Vec<Vec<u8>> = cfg
         .shapes

@@ -13,11 +13,11 @@
 //! `Arc<dyn Fn … + Send + Sync>`, the registry is interior-locked, and
 //! the network is shareable across threads, so one installed service can
 //! be driven (and dispatched) from any number of threads. On top of that,
-//! [`SpecService::serve_threaded`] processes independent requests on a
-//! dedicated worker pool — per-datagram for UDP, per-connection for TCP —
-//! while every worker shares the one registry (and therefore one
-//! `StubCache`-compiled stub set); per-worker dispatch counts surface
-//! through [`crate::Summary`].
+//! [`SpecService::serve`] processes independent UDP requests on the
+//! shard-map reactor's workers and [`SpecService::serve_tcp_pinned`]
+//! processes TCP connections on a pinned worker pool, while every worker
+//! shares the one registry (and therefore one `StubCache`-compiled stub
+//! set); per-shard event counts surface through [`crate::Summary`].
 
 use crate::adaptive::{AdaptiveProc, AdaptiveRuntime, Tier};
 use crate::generic::{decode_shape_generic, encode_shape_generic, shape_counts};
@@ -27,12 +27,9 @@ use specrpc_rpc::bufpool::BufPool;
 use specrpc_rpc::error::RpcError;
 use specrpc_rpc::msg::ReplyHeader;
 use specrpc_rpc::svc::{SvcRegistry, REPLY_BUF_SIZE};
-use specrpc_rpc::svc_event::{serve_udp_event, EventLoop};
-use specrpc_rpc::svc_shard::{serve_udp_sharded, ShardPlan, ShardedEventLoop};
-use specrpc_rpc::svc_tcp::serve_tcp;
-use specrpc_rpc::svc_threaded::{attach_tcp, attach_udp, DispatchPool};
-use specrpc_rpc::svc_udp::serve_udp;
-use specrpc_rpc::svc_udp::DUP_CACHE_ENTRIES;
+use specrpc_rpc::svc_shard::{serve_udp_sharded, ShardedEventLoop};
+use specrpc_rpc::svc_tcp::{serve_tcp, serve_tcp_pinned};
+use specrpc_rpc::svc_udp::{serve_udp, DUP_CACHE_ENTRIES};
 use specrpc_rpcgen::sunlib::call_fields;
 use specrpc_tempo::compile::{run_decode, run_encode, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
@@ -60,59 +57,9 @@ pub struct SpecService {
     procs: Vec<ProcEntry>,
 }
 
-/// A service deployed through [`SpecService::serve_threaded`]: the shared
-/// registry plus the worker pool that dispatches its requests.
-pub struct ThreadedService {
-    /// The shared dispatch registry (path counters, unregister).
-    pub registry: Arc<SvcRegistry>,
-    /// The worker pool (per-thread dispatch counts).
-    pub pool: Arc<DispatchPool>,
-}
-
-impl ThreadedService {
-    /// Requests dispatched per worker thread — feed this to
-    /// [`crate::Summary::with_threads`].
-    pub fn per_thread_dispatches(&self) -> Vec<u64> {
-        self.pool.per_thread_dispatches()
-    }
-
-    /// Additionally serve the same registry and pool over TCP at `addr`
-    /// (per-connection worker pinning).
-    pub fn also_tcp(&self, net: &Network, addr: Addr) -> &Self {
-        attach_tcp(net, addr, self.pool.clone(), None);
-        self
-    }
-}
-
-/// A service deployed through [`SpecService::serve_event`]: the shared
-/// registry plus the event reactor draining its readiness queue.
-///
-/// Dropping the service shuts the reactor down (workers joined, the
-/// event-mode address released).
-pub struct EventService {
-    /// The shared dispatch registry (path counters, unregister).
-    pub registry: Arc<SvcRegistry>,
-    /// The reactor (per-worker event throughput counts).
-    pub reactor: EventLoop,
-}
-
-impl EventService {
-    /// Events processed per reactor worker — feed this to
-    /// [`crate::Summary::with_events`].
-    pub fn per_worker_events(&self) -> Vec<u64> {
-        self.reactor.per_worker_events()
-    }
-
-    /// Total events processed by the reactor.
-    pub fn total_events(&self) -> u64 {
-        self.reactor.total_events()
-    }
-}
-
-/// A service deployed through [`SpecService::serve_sharded`]: the shared
-/// registry plus the shard map serving it — N reactors, each owning its
-/// slice of the address space with that slice's dup caches and buffer
-/// pool, stealing cross-shard when dry.
+/// A service deployed through [`SpecService::serve`]: the shared registry
+/// plus the shard map serving it — N reactors, each sweeping its slice of
+/// the served addresses, stealing cross-shard when dry.
 ///
 /// Dropping the service shuts every shard down (workers joined, the
 /// event-mode addresses released).
@@ -230,52 +177,40 @@ impl SpecService {
         reg
     }
 
-    /// Install into a fresh registry and serve it over UDP at `addr`,
-    /// dispatching each datagram on a pool of `pool_size` worker threads
-    /// that share the registry (and any `StubCache`-compiled stubs).
-    /// Chain [`ThreadedService::also_tcp`] to serve TCP from the same
-    /// pool with per-connection worker pinning.
-    pub fn serve_threaded(self, net: &Network, addr: Addr, pool_size: usize) -> ThreadedService {
-        let registry = self.into_registry();
-        let pool = Arc::new(DispatchPool::new(registry.clone(), pool_size));
-        attach_udp(net, addr, pool.clone(), None);
-        ThreadedService { registry, pool }
+    /// Install into a fresh registry and serve it over TCP at `addr`,
+    /// dispatching complete records on `workers` threads that share the
+    /// registry (and any `StubCache`-compiled stubs); each accepted
+    /// connection is pinned to one worker, so its records stay ordered.
+    pub fn serve_tcp_pinned(self, net: &Network, addr: Addr, workers: usize) -> Arc<SvcRegistry> {
+        let reg = self.into_registry();
+        serve_tcp_pinned(net, addr, reg.clone(), workers, None);
+        reg
     }
 
-    /// Install into a fresh registry and serve it over UDP at `addr`
-    /// through the **event-driven core**: deliveries become readiness
-    /// events and `workers` reactor threads drain them round-robin
-    /// through the pooled dispatch path (dup cache, `BufPool`, zero-copy
-    /// reply encode all preserved). Unlike [`SpecService::serve_udp`],
-    /// in-flight requests to this one address process in parallel
-    /// instead of serializing on a handler slot; unlike
-    /// [`SpecService::serve_threaded`], the delivering thread never
-    /// blocks on a reply hand-off, which is what lets
+    /// Install into a fresh registry and serve it over UDP at `addrs`
+    /// through the **event-driven core**, a shard map of `shards`
+    /// reactors: address `a` belongs to shard `a % shards`, and each shard
+    /// runs `workers_per_shard` reactor threads draining its addresses'
+    /// readiness queues round-robin through the pooled dispatch path (a
+    /// per-address dup cache, the registry's `BufPool`, zero-copy reply
+    /// encode); a shard whose queues run dry steals one datagram at a
+    /// time from its peers. Unlike [`SpecService::serve_udp`], in-flight
+    /// requests to one address process in parallel instead of
+    /// serializing on a handler slot, and the delivering thread never
+    /// blocks on a reply hand-off — which is what lets
     /// [`crate::SpecClient::call_batch`] keep a whole batch in flight.
     ///
-    /// With one worker and one driving thread the deployment is byte-
-    /// and virtual-time-identical to `serve_udp`; per-worker throughput
-    /// surfaces through [`crate::Summary::with_events`].
-    pub fn serve_event(self, net: &Network, addr: Addr, workers: usize) -> EventService {
-        let registry = self.into_registry();
-        let reactor = serve_udp_event(net, addr, registry.clone(), workers, None);
-        EventService { registry, reactor }
-    }
-
-    /// Install into a fresh registry and serve it at `addrs` through a
-    /// **shard map** of `shards` reactors: each address is assigned to a
-    /// shard (modulo spread), and each shard owns its slice's
-    /// duplicate-request caches and wire-buffer pool plus
-    /// `workers_per_shard` reactor threads; a shard whose queues run dry
-    /// steals one datagram at a time from its peers.
+    /// With one shard, one worker and one driving thread the deployment
+    /// is byte- and virtual-time-identical to `serve_udp`.
     ///
     /// `workers_per_shard == 0` is the **deterministic single-driver
     /// mode**: no threads are spawned and every delivery executes inline
     /// on the driving thread, producing byte- and virtual-time-identical
-    /// traces for any shard count (the shard map then only partitions
-    /// cache/pool ownership). This is the mode the million-client
-    /// scenario measures.
-    pub fn serve_sharded(
+    /// traces for any shard count (the shard map then only decides which
+    /// shard an event is credited to). This is the mode the
+    /// million-client scenario measures. Per-shard throughput surfaces
+    /// through [`crate::Summary::with_shards`].
+    pub fn serve(
         self,
         net: &Network,
         addrs: &[Addr],
@@ -287,7 +222,7 @@ impl SpecService {
             net,
             addrs,
             registry.clone(),
-            ShardPlan::modulo(shards),
+            shards,
             workers_per_shard,
             None,
             DUP_CACHE_ENTRIES,
@@ -456,8 +391,6 @@ mod tests {
         assert_send_sync::<SpecService>();
         assert_send_sync::<SvcRegistry>();
         assert_send_sync::<Network>();
-        assert_send_sync::<ThreadedService>();
-        assert_send_sync::<EventService>();
         assert_send_sync::<ShardedService>();
     }
 
@@ -591,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn event_service_round_trips_and_counts_per_worker() {
+    fn served_reactor_round_trips_on_worker_threads() {
         let n = 8;
         let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
         let net = Network::new(NetworkConfig::lan(), 13);
@@ -599,7 +532,7 @@ mod tests {
             .proc(cp.clone(), |args: &StubArgs| {
                 StubArgs::new(vec![], vec![args.arrays[0].clone()])
             })
-            .serve_event(&net, 804, 2);
+            .serve(&net, &[804], 1, 2);
 
         let clnt = ClntUdp::create(&net, 5500, 804, 0x2000_0101, 1);
         let mut client = SpecClient::from_parts(clnt, cp);
@@ -610,12 +543,10 @@ mod tests {
             assert_eq!(path, PathUsed::Fast);
             assert_eq!(out.arrays[0], data);
         }
-        let per = served.per_worker_events();
-        assert_eq!(per.len(), 2);
-        // Worker counts plus driver steals cover every request: on a
-        // single-core host the driving thread steals most of them.
+        // Reactor workers and driver steals together cover every request
+        // (on a single-core host the driving thread steals most of them).
         assert_eq!(served.total_events(), 6);
-        assert_eq!(per.iter().sum::<u64>() + served.reactor.stolen_events(), 6);
+        assert_eq!(served.per_shard_events(), vec![6]);
         assert_eq!(served.registry.raw_dispatches(), 6);
     }
 
@@ -628,7 +559,7 @@ mod tests {
             .proc(cp.clone(), |args: &StubArgs| {
                 StubArgs::new(vec![], vec![args.arrays[0].clone()])
             })
-            .serve_event(&net, 805, 1);
+            .serve(&net, &[805], 1, 1);
 
         let clnt = ClntUdp::create(&net, 5501, 805, 0x2000_0101, 1);
         let mut client = SpecClient::from_parts(clnt, cp);
@@ -660,7 +591,7 @@ mod tests {
             .proc(cp.clone(), |args: &StubArgs| {
                 StubArgs::new(vec![], vec![args.arrays[0].clone()])
             })
-            .serve_sharded(&net, &ports, 2, 0);
+            .serve(&net, &ports, 2, 0);
 
         let data: Vec<i32> = (0..n as i32).collect();
         for (i, &port) in ports.iter().enumerate() {
@@ -681,17 +612,17 @@ mod tests {
     }
 
     #[test]
-    fn threaded_service_round_trips_and_counts_per_worker() {
+    fn pinned_tcp_service_round_trips_on_worker_threads() {
         let n = 8;
         let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
         let net = Network::new(NetworkConfig::lan(), 13);
-        let served = SpecService::new()
+        let reg = SpecService::new()
             .proc(cp.clone(), |args: &StubArgs| {
                 StubArgs::new(vec![], vec![args.arrays[0].clone()])
             })
-            .serve_threaded(&net, 803, 3);
+            .serve_tcp_pinned(&net, 803, 3);
 
-        let clnt = ClntUdp::create(&net, 5400, 803, 0x2000_0101, 1);
+        let clnt = specrpc_rpc::ClntTcp::create(&net, 803, 0x2000_0101, 1).unwrap();
         let mut client = SpecClient::from_parts(clnt, cp);
         let data: Vec<i32> = (0..n as i32).collect();
         for _ in 0..6 {
@@ -700,10 +631,6 @@ mod tests {
             assert_eq!(path, PathUsed::Fast);
             assert_eq!(out.arrays[0], data);
         }
-        let per = served.per_thread_dispatches();
-        assert_eq!(per.len(), 3);
-        assert_eq!(per.iter().sum::<u64>(), 6);
-        assert!(per.iter().all(|&c| c == 2), "round-robin: {per:?}");
-        assert_eq!(served.registry.raw_dispatches(), 6);
+        assert_eq!(reg.raw_dispatches(), 6);
     }
 }

@@ -206,14 +206,8 @@ pub struct Summary {
     /// Stub-cache effectiveness, when the stubs came through a
     /// [`crate::cache::StubCache`].
     pub cache: Option<CacheStats>,
-    /// Requests dispatched per worker thread, when the service ran under
-    /// [`crate::SpecService::serve_threaded`].
-    pub threads: Option<Vec<u64>>,
-    /// Events processed per reactor worker, when the service ran under
-    /// [`crate::SpecService::serve_event`].
-    pub events: Option<Vec<u64>>,
     /// Events processed per shard, when the service ran under
-    /// [`crate::SpecService::serve_sharded`] (per-shard throughput).
+    /// [`crate::SpecService::serve`] (per-shard throughput).
     pub shards: Option<Vec<u64>>,
     /// Virtual-time latency distribution, when the deployment recorded
     /// one (the open-loop scaling scenarios).
@@ -244,8 +238,6 @@ impl Summary {
             dynamic_guards: r.dynamic_ifs_residualized,
             residual_stmts: r.residual_stmts,
             cache: None,
-            threads: None,
-            events: None,
             shards: None,
             latency: None,
             wire: None,
@@ -257,21 +249,6 @@ impl Summary {
     /// Attach stub-cache counters (how many Tempo runs the cache saved).
     pub fn with_cache(mut self, stats: CacheStats) -> Summary {
         self.cache = Some(stats);
-        self
-    }
-
-    /// Attach per-worker dispatch counts from a threaded deployment
-    /// ([`crate::service::ThreadedService::per_thread_dispatches`]).
-    pub fn with_threads(mut self, per_thread: Vec<u64>) -> Summary {
-        self.threads = Some(per_thread);
-        self
-    }
-
-    /// Attach per-worker event-loop throughput counts from an
-    /// event-driven deployment
-    /// ([`crate::service::EventService::per_worker_events`]).
-    pub fn with_events(mut self, per_worker: Vec<u64>) -> Summary {
-        self.events = Some(per_worker);
         self
     }
 
@@ -385,26 +362,6 @@ impl Summary {
                     by[0], by[1], by[2],
                 ));
             }
-        }
-        if let Some(t) = &self.threads {
-            let total: u64 = t.iter().sum();
-            let per: Vec<String> = t.iter().map(u64::to_string).collect();
-            text.push_str(&format!(
-                "\n\u{20} threaded dispatch:              {} across {} worker(s) [{}]",
-                total,
-                t.len(),
-                per.join(", "),
-            ));
-        }
-        if let Some(e) = &self.events {
-            let total: u64 = e.iter().sum();
-            let per: Vec<String> = e.iter().map(u64::to_string).collect();
-            text.push_str(&format!(
-                "\n\u{20} event loop:                     {} event(s) across {} worker(s) [{}]",
-                total,
-                e.len(),
-                per.join(", "),
-            ));
         }
         if let Some(s) = &self.shards {
             let total: u64 = s.iter().sum();
@@ -528,28 +485,7 @@ mod tests {
         let text = s.render();
         assert!(text.contains("stub cache"));
         assert!(text.contains("3 hit(s), 1 miss(es), 1 entry"));
-        assert!(
-            !text.contains("threaded dispatch"),
-            "no thread line without stats"
-        );
-    }
-
-    #[test]
-    fn render_includes_per_thread_dispatches_when_attached() {
-        let s = Summary::default().with_threads(vec![4, 3, 5]);
-        let text = s.render();
-        assert!(text.contains("threaded dispatch"));
-        assert!(text.contains("12 across 3 worker(s) [4, 3, 5]"));
-        assert!(!text.contains("wire path"), "no wire line without stats");
-        assert!(!text.contains("event loop"), "no event line without stats");
-    }
-
-    #[test]
-    fn render_includes_event_loop_throughput_when_attached() {
-        let s = Summary::default().with_events(vec![7, 9]);
-        let text = s.render();
-        assert!(text.contains("event loop"));
-        assert!(text.contains("16 event(s) across 2 worker(s) [7, 9]"));
+        assert!(!text.contains("shard map"), "no shard line without stats");
     }
 
     #[test]

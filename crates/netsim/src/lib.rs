@@ -20,8 +20,8 @@
 //!    counts measured from real executions** of the generic and specialized
 //!    marshaling code ([`specrpc_xdr::OpCounts`]) into modeled milliseconds.
 //!    The counts are real; only the per-event weights (CPU speed, memory
-//!    bandwidth, wire speed) are modeled. DESIGN.md documents why this
-//!    substitution preserves the paper's *shape* (who wins, by what factor,
+//!    bandwidth, wire speed) are modeled. The [`platform`] docs describe how
+//!    this substitution preserves the paper's *shape* (who wins, by what factor,
 //!    where the curves bend).
 
 pub mod chaos;

@@ -2,7 +2,7 @@
 //!
 //! We cannot rerun SunOS 4.1.4 on a Sun IPX 4/50 with Fore ESA-200 ATM
 //! cards, nor a 166 MHz Pentium with 1997-era Linux and Fast-Ethernet. The
-//! substitution (documented in DESIGN.md) is:
+//! substitution is:
 //!
 //! * the **operation counts** come from really executing our generic and
 //!   specialized marshaling code ([`specrpc_xdr::OpCounts`] is incremented

@@ -19,8 +19,8 @@
 //! and the wire path performs **zero heap allocations per call** — the
 //! `misses` counter is the proof, and the integration tests pin it.
 //!
-//! The pool is `Send + Sync` (one `Mutex` around the free list) so
-//! `serve_threaded` workers and any number of clients can share one
+//! The pool is `Send + Sync` (one `Mutex` around the free list) so every
+//! shard-map reactor worker and any number of clients can share one
 //! instance.
 
 use std::sync::atomic::{AtomicU64, Ordering};

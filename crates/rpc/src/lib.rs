@@ -22,10 +22,8 @@ pub mod error;
 pub mod msg;
 pub mod pmap;
 pub mod svc;
-pub mod svc_event;
 pub mod svc_shard;
 pub mod svc_tcp;
-pub mod svc_threaded;
 pub mod svc_udp;
 pub mod transport;
 pub mod xid;
@@ -39,7 +37,5 @@ pub use coalesce::{CoalescePolicy, CoalesceStats};
 pub use error::RpcError;
 pub use msg::{AcceptStat, CallHeader, MsgType, RejectStat, ReplyHeader, ReplyStat, RPC_VERS};
 pub use svc::SvcRegistry;
-pub use svc_event::EventLoop;
-pub use svc_shard::{ShardPlan, ShardedEventLoop};
-pub use svc_threaded::DispatchPool;
+pub use svc_shard::ShardedEventLoop;
 pub use transport::{BatchMode, Transport};

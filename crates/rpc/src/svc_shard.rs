@@ -1,37 +1,41 @@
-//! The sharded serving core: N reactor shards, each owning a slice of
-//! the served address space together with that slice's duplicate-request
-//! caches and wire-buffer pool, with cross-shard work stealing when a
+//! The event-driven serving core: N reactor shards, each owning a slice
+//! of the served addresses together with those addresses'
+//! duplicate-request caches, with cross-shard work stealing when a
 //! shard's ready queues run dry.
 //!
-//! [`EventLoop`](crate::svc_event::EventLoop) is one reactor draining
-//! all of its addresses round-robin; every socket shares the registry's
-//! buffer pool and every worker contends on the same sweep. The
-//! [`ShardedEventLoop`] partitions the (prog, vers, addr) space instead:
-//! a [`ShardPlan`] maps each served address to one of N shards, and each
-//! shard keeps its **own** [`BufPool`] and its own per-address
-//! `CachedDispatch` bodies, so in steady state a shard's request
-//! buffers, reply images, and dup-cache entries cycle entirely within
-//! the shard — no cross-shard lock traffic on the hot path.
+//! Where `svc_udp::serve_udp` installs a *blocking* per-address handler
+//! slot (deliveries to one address serialize on its lock), the
+//! [`ShardedEventLoop`] inverts control: the simulated network queues
+//! deliveries as readiness events ([`Network::serve_udp_events_with`])
+//! and reactor workers drain them with the nonblocking
+//! [`Network::poll_udp`]. Address `a` belongs to shard `a % shards`, and
+//! each served address keeps its own `CachedDispatch` body — the same
+//! cache-fronted dispatch as the blocking path — so the dup cache, the
+//! registry's shared [`BufPool`](crate::BufPool), and the zero-copy
+//! reply encode are all preserved; the in-progress set inside that body
+//! keeps handler execution exactly-once even when two workers pull
+//! duplicates of one transaction concurrently.
 //!
 //! Scheduling is two-tier:
 //! - each shard's workers sweep the shard's own sockets round-robin
-//!   (one datagram per socket per visit, as in the single reactor);
+//!   (one datagram per socket per visit, so one hot address cannot
+//!   starve the others);
 //! - a worker whose shard is dry **steals**: it sweeps the peer shards'
 //!   sockets in deterministic order, taking one datagram per socket,
 //!   before falling back to [`Network::wait_ready`] over the whole map.
 //!
-//! Determinism: with `workers_per_shard == 0` no threads are spawned at
-//! all — every delivery is executed inline by the *driving* thread via
-//! the simulator's event-steal path, in the same (BTreeMap-ordered)
-//! order a single reactor would drain it. That single-driver mode is
-//! byte- and virtual-time-identical to the 1-shard deployment for any
-//! shard count (pinned by the shard-determinism fault-matrix tests),
-//! because the shard assignment only changes *ownership* of caches and
-//! pools, never the per-address dispatch bodies or the delivery order.
+//! Determinism: with one shard, one worker and one driving thread, traces
+//! are byte- and time-identical to the blocking-handler deployment of
+//! the same workload. With `workers_per_shard == 0` no threads are
+//! spawned at all — every delivery is executed inline by the *driving*
+//! thread via the simulator's event-steal path, in the same
+//! (BTreeMap-ordered) order a single reactor would drain it. That
+//! single-driver mode is byte- and virtual-time-identical for any shard
+//! count, because the shard assignment only changes which workers sweep
+//! an address, never its dispatch body or the delivery order.
 
-use crate::bufpool::BufPool;
 use crate::svc::{Dispatcher, SvcRegistry};
-use crate::svc_udp::{CachedDispatch, ProcTimeModel, DUP_CACHE_ENTRIES};
+use crate::svc_udp::{CachedDispatch, ProcTimeModel};
 use specrpc_netsim::net::{Addr, EventProcessor, Network};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,61 +46,8 @@ use std::time::Duration;
 /// before re-checking the shutdown flag (woken early on any delivery).
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// The shard map: how many shards exist and which shard owns a given
-/// served address. The default [`ShardPlan::modulo`] spreads addresses
-/// round-robin; [`ShardPlan::with`] accepts any assignment (e.g. by
-/// program number when each program owns a port range).
-#[derive(Clone)]
-pub struct ShardPlan {
-    shards: usize,
-    assign: Arc<dyn Fn(Addr) -> usize + Send + Sync>,
-}
-
-impl ShardPlan {
-    /// `addr % shards` — the default spread for uniformly hot addresses.
-    pub fn modulo(shards: usize) -> ShardPlan {
-        assert!(shards > 0, "shard plan needs at least one shard");
-        ShardPlan {
-            shards,
-            assign: Arc::new(move |addr| addr as usize % shards),
-        }
-    }
-
-    /// A custom assignment; the returned index is reduced mod `shards`,
-    /// so any hash of (prog, vers, addr) the deployment encodes into its
-    /// address layout is acceptable.
-    pub fn with(
-        shards: usize,
-        assign: impl Fn(Addr) -> usize + Send + Sync + 'static,
-    ) -> ShardPlan {
-        assert!(shards > 0, "shard plan needs at least one shard");
-        ShardPlan {
-            shards,
-            assign: Arc::new(assign),
-        }
-    }
-
-    /// Number of shards in the map.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `addr`.
-    pub fn shard_of(&self, addr: Addr) -> usize {
-        (self.assign)(addr) % self.shards
-    }
-}
-
-impl std::fmt::Debug for ShardPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPlan")
-            .field("shards", &self.shards)
-            .finish_non_exhaustive()
-    }
-}
-
 /// One served socket: its address, owning shard, and cache-fronted
-/// dispatch body (drawing on the owning shard's buffer pool).
+/// dispatch body.
 struct ShardSocket {
     addr: Addr,
     shard: usize,
@@ -113,25 +64,19 @@ struct ShardStats {
 }
 
 /// A sharded event-driven UDP serving front end: N shards, each with
-/// `workers_per_shard` reactor threads, its own buffer pool, and its own
-/// per-address duplicate-request caches; idle workers steal from peer
-/// shards. `workers_per_shard == 0` is the deterministic single-driver
-/// mode (no threads; the driving thread executes every delivery inline).
+/// `workers_per_shard` reactor threads sweeping the shard's addresses;
+/// idle workers steal from peer shards. `workers_per_shard == 0` is the
+/// deterministic single-driver mode (no threads; the driving thread
+/// executes every delivery inline).
 ///
 /// Dropping the loop shuts it down: workers are woken and joined, and
-/// the event-mode registrations are removed.
+/// the event-mode registrations are removed (releasing any still-queued
+/// deliveries so driving threads cannot stall on them).
 pub struct ShardedEventLoop {
     net: Network,
     sockets: Arc<Vec<ShardSocket>>,
-    registry: Arc<SvcRegistry>,
-    plan: ShardPlan,
-    pools: Vec<Arc<BufPool>>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<Vec<ShardStats>>,
-    /// Deliveries executed inline by driving threads (the simulator's
-    /// event-steal path) rather than by a shard worker.
-    driver_inline: Arc<AtomicU64>,
-    workers_per_shard: usize,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -139,9 +84,7 @@ impl ShardedEventLoop {
     fn spawn(
         net: &Network,
         sockets: Vec<ShardSocket>,
-        registry: Arc<SvcRegistry>,
-        plan: ShardPlan,
-        pools: Vec<Arc<BufPool>>,
+        shards: usize,
         workers_per_shard: usize,
     ) -> ShardedEventLoop {
         assert!(
@@ -149,14 +92,13 @@ impl ShardedEventLoop {
             "sharded loop needs at least one socket"
         );
         let stats: Arc<Vec<ShardStats>> = Arc::new(
-            (0..plan.shards())
+            (0..shards)
                 .map(|_| ShardStats {
                     processed: AtomicU64::new(0),
                     steals: AtomicU64::new(0),
                 })
                 .collect(),
         );
-        let driver_inline = Arc::new(AtomicU64::new(0));
         for s in &sockets {
             // Register WITH an inline processor: a driving thread blocked
             // on this socket's pending events executes the work in place.
@@ -164,11 +106,9 @@ impl ShardedEventLoop {
             // client holding the reply always observes the count.
             let cd = s.dispatch.clone();
             let st = stats.clone();
-            let di = driver_inline.clone();
             let shard = s.shard;
             let processor: EventProcessor = Arc::new(move |req: &mut Vec<u8>, from: Addr| {
                 st[shard].processed.fetch_add(1, Ordering::Relaxed);
-                di.fetch_add(1, Ordering::Relaxed);
                 cd.handle(req, from)
             });
             net.serve_udp_events_with(s.addr, processor);
@@ -179,14 +119,14 @@ impl ShardedEventLoop {
         // Socket indices grouped by owning shard, so each worker sweeps
         // its own shard first and peers after, without re-filtering.
         let by_shard: Arc<Vec<Vec<usize>>> = Arc::new({
-            let mut groups = vec![Vec::new(); plan.shards()];
+            let mut groups = vec![Vec::new(); shards];
             for (i, s) in sockets.iter().enumerate() {
                 groups[s.shard].push(i);
             }
             groups
         });
         let mut handles = Vec::new();
-        for shard in 0..plan.shards() {
+        for shard in 0..shards {
             for w in 0..workers_per_shard {
                 let net = net.clone();
                 let sockets = sockets.clone();
@@ -254,13 +194,8 @@ impl ShardedEventLoop {
         ShardedEventLoop {
             net: net.clone(),
             sockets,
-            registry,
-            plan,
-            pools,
             shutdown,
             stats,
-            driver_inline,
-            workers_per_shard,
             handles,
         }
     }
@@ -285,49 +220,9 @@ impl ShardedEventLoop {
         served
     }
 
-    /// The shared registry every shard dispatches through.
-    pub fn registry(&self) -> &Arc<SvcRegistry> {
-        &self.registry
-    }
-
-    /// The shard map in force.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.plan.shards()
-    }
-
-    /// Reactor workers per shard (0 = deterministic single-driver mode).
-    pub fn workers_per_shard(&self) -> usize {
-        self.workers_per_shard
-    }
-
-    /// Every served address, in registration order.
-    pub fn addrs(&self) -> Vec<Addr> {
-        self.sockets.iter().map(|s| s.addr).collect()
-    }
-
-    /// The addresses owned by shard `shard`.
-    pub fn shard_addrs(&self, shard: usize) -> Vec<Addr> {
-        self.sockets
-            .iter()
-            .filter(|s| s.shard == shard)
-            .map(|s| s.addr)
-            .collect()
-    }
-
-    /// Per-shard wire-buffer pools (index = shard).
-    pub fn pools(&self) -> &[Arc<BufPool>] {
-        &self.pools
-    }
-
     /// Events processed per shard (credited to the shard *owning* the
     /// socket, regardless of which worker or driver executed it) — the
-    /// per-shard throughput [`Summary`](crate::svc::SvcRegistry) tables
-    /// surface.
+    /// per-shard throughput `Summary::with_shards` renders.
     pub fn per_shard_events(&self) -> Vec<u64> {
         self.stats
             .iter()
@@ -335,24 +230,12 @@ impl ShardedEventLoop {
             .collect()
     }
 
-    /// Events a shard's workers took from peer shards' sockets, per
-    /// *stealing* shard.
-    pub fn per_shard_steals(&self) -> Vec<u64> {
+    /// Total cross-shard steals performed by idle shard workers.
+    pub fn cross_shard_steals(&self) -> u64 {
         self.stats
             .iter()
             .map(|s| s.steals.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total cross-shard steals.
-    pub fn cross_shard_steals(&self) -> u64 {
-        self.per_shard_steals().iter().sum()
-    }
-
-    /// Deliveries executed inline by driving threads (all of the
-    /// traffic in single-driver mode; rescue work otherwise).
-    pub fn driver_inline_events(&self) -> u64 {
-        self.driver_inline.load(Ordering::Relaxed)
+            .sum()
     }
 
     /// Total events processed across the map.
@@ -374,10 +257,12 @@ impl Drop for ShardedEventLoop {
     }
 }
 
-/// Serve `registry` at `addrs` through a sharded reactor map: `plan`
-/// assigns each address to a shard; each shard owns its own wire-buffer
-/// pool and per-address duplicate-request caches and runs
-/// `workers_per_shard` reactor threads (`0` = deterministic
+/// Serve `registry` at `addrs` through a map of `shards` reactors:
+/// address `a` belongs to shard `a % shards`, keeps its own
+/// `cache_entries`-entry duplicate-request cache (`0` disables caching),
+/// and draws wire buffers from the registry's pool, so a client created
+/// over that same pool keeps its allocation-free steady state. Each
+/// shard runs `workers_per_shard` reactor threads (`0` = deterministic
 /// single-driver mode: every delivery executes inline on the driving
 /// thread, byte- and virtual-time-identical for any shard count). The
 /// optional processing-time model defaults to
@@ -386,60 +271,37 @@ pub fn serve_udp_sharded(
     net: &Network,
     addrs: &[Addr],
     registry: Arc<SvcRegistry>,
-    plan: ShardPlan,
+    shards: usize,
     workers_per_shard: usize,
     proc_time: Option<ProcTimeModel>,
     cache_entries: usize,
 ) -> ShardedEventLoop {
-    let pools: Vec<Arc<BufPool>> = (0..plan.shards())
-        .map(|_| Arc::new(BufPool::new()))
-        .collect();
+    assert!(shards > 0, "shard map needs at least one shard");
     let sockets: Vec<ShardSocket> = addrs
         .iter()
         .map(|&addr| {
-            let shard = plan.shard_of(addr);
             let reg = registry.clone();
             let dispatch: Dispatcher = Arc::new(move |request: &[u8]| reg.dispatch(request));
             ShardSocket {
                 addr,
-                shard,
+                shard: addr as usize % shards,
                 dispatch: Arc::new(CachedDispatch::new(
                     dispatch,
                     proc_time.clone(),
                     cache_entries,
-                    pools[shard].clone(),
+                    registry.pool().clone(),
                 )),
             }
         })
         .collect();
-    ShardedEventLoop::spawn(net, sockets, registry, plan, pools, workers_per_shard)
-}
-
-/// [`serve_udp_sharded`] with the default modulo plan and
-/// [`DUP_CACHE_ENTRIES`]-entry caches.
-pub fn serve_udp_sharded_default(
-    net: &Network,
-    addrs: &[Addr],
-    registry: Arc<SvcRegistry>,
-    shards: usize,
-    workers_per_shard: usize,
-    proc_time: Option<ProcTimeModel>,
-) -> ShardedEventLoop {
-    serve_udp_sharded(
-        net,
-        addrs,
-        registry,
-        ShardPlan::modulo(shards),
-        workers_per_shard,
-        proc_time,
-        DUP_CACHE_ENTRIES,
-    )
+    ShardedEventLoop::spawn(net, sockets, shards, workers_per_shard)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::{CallHeader, ReplyHeader};
+    use crate::svc_udp::DUP_CACHE_ENTRIES;
     use specrpc_netsim::net::NetworkConfig;
     use specrpc_netsim::SimTime;
     use specrpc_xdr::mem::XdrMem;
@@ -466,22 +328,50 @@ mod tests {
         enc.into_bytes()
     }
 
+    /// [`serve_udp_sharded`] with the default processing-time model and
+    /// [`DUP_CACHE_ENTRIES`]-entry caches.
+    fn serve(
+        net: &Network,
+        addrs: &[Addr],
+        registry: Arc<SvcRegistry>,
+        shards: usize,
+        workers_per_shard: usize,
+    ) -> ShardedEventLoop {
+        serve_udp_sharded(
+            net,
+            addrs,
+            registry,
+            shards,
+            workers_per_shard,
+            None,
+            DUP_CACHE_ENTRIES,
+        )
+    }
+
     #[test]
     fn modulo_plan_spreads_addresses() {
-        let plan = ShardPlan::modulo(4);
-        assert_eq!(plan.shards(), 4);
-        assert_eq!(plan.shard_of(650), 650 % 4);
-        assert_eq!(plan.shard_of(651), 651 % 4);
-        let custom = ShardPlan::with(3, |a| (a as usize) / 100);
-        assert_eq!(custom.shard_of(650), 6 % 3);
+        // Address `a` belongs to shard `a % shards`: one call to each of
+        // 650..657 over 3 shards credits 650 % 3 = 2, 651 → 0, 652 → 1, …
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let ports: Vec<Addr> = (650..658).collect();
+        let sl = serve(&net, &ports, echo_registry(), 3, 0);
+        let ep = net.bind_udp(4000);
+        for (i, &port) in ports.iter().enumerate() {
+            ep.send_to(port, call(i as u32, i as i32));
+            ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
+        }
+        let mut want = vec![0u64; 3];
+        for &port in &ports {
+            want[port as usize % 3] += 1;
+        }
+        assert_eq!(sl.per_shard_events(), want);
     }
 
     #[test]
     fn sharded_map_answers_over_the_network() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = (650..658).collect();
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 4, 1, None);
-        assert_eq!(sl.shards(), 4);
+        let sl = serve(&net, &ports, echo_registry(), 4, 1);
         let ep = net.bind_udp(4000);
         for (i, &port) in ports.iter().enumerate() {
             ep.send_to(port, call(i as u32, i as i32));
@@ -495,26 +385,22 @@ mod tests {
             assert_eq!(out, i as i32 + 1);
         }
         assert_eq!(sl.total_events(), 8);
-        assert_eq!(sl.per_shard_events().iter().sum::<u64>(), 8);
         // Every shard owns two of the eight modulo-spread ports.
-        for s in 0..4 {
-            assert_eq!(sl.shard_addrs(s).len(), 2);
-        }
+        assert_eq!(sl.per_shard_events(), vec![2, 2, 2, 2]);
     }
 
     #[test]
     fn single_driver_mode_spawns_no_threads_and_counts_inline() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = vec![650, 651, 652];
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 3, 0, None);
-        assert_eq!(sl.workers_per_shard(), 0);
+        let sl = serve(&net, &ports, echo_registry(), 3, 0);
+        assert!(sl.handles.is_empty(), "no reactor threads");
         let ep = net.bind_udp(4000);
         for i in 0..6u32 {
             ep.send_to(ports[i as usize % 3], call(i, i as i32));
             ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
         }
-        assert_eq!(sl.total_events(), 6);
-        assert_eq!(sl.driver_inline_events(), 6, "all inline, no workers");
+        assert_eq!(sl.total_events(), 6, "all inline, no workers");
         assert_eq!(sl.cross_shard_steals(), 0);
         assert_eq!(sl.per_shard_events(), vec![2, 2, 2]);
     }
@@ -526,7 +412,7 @@ mod tests {
         let run = |shards: usize| {
             let net = Network::new(NetworkConfig::lan(), 5);
             let ports: Vec<Addr> = (650..654).collect();
-            let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), shards, 0, None);
+            let sl = serve(&net, &ports, echo_registry(), shards, 0);
             let ep = net.bind_udp(4000);
             let mut replies = Vec::new();
             for i in 0..12u32 {
@@ -544,10 +430,40 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_matches_blocking_path_bytes_and_time() {
+        // The same call sequence through the blocking handler slot and
+        // through a 1-shard, 1-worker reactor: byte- and
+        // virtual-time-identical.
+        let run = |reactor: bool| {
+            let net = Network::new(NetworkConfig::lan(), 5);
+            let reg = echo_registry();
+            let sl = if reactor {
+                Some(serve(&net, &[650], reg.clone(), 1, 1))
+            } else {
+                crate::svc_udp::serve_udp(&net, 650, reg.clone(), None);
+                None
+            };
+            let ep = net.bind_udp(4000);
+            let mut replies = Vec::new();
+            for i in 0..8 {
+                ep.send_to(650, call(i, i as i32));
+                replies.push(
+                    ep.recv_timeout(SimTime::from_millis(50))
+                        .expect("reply")
+                        .payload,
+                );
+            }
+            drop(sl);
+            (replies, net.now())
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
     fn poll_once_drains_ready_sockets() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = vec![650, 651];
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 2, 0, None);
+        let sl = serve(&net, &ports, echo_registry(), 2, 0);
         let ep = net.bind_udp(4000);
         assert_eq!(sl.poll_once(), 0, "idle map has nothing to serve");
         // Land the delivery as a readiness event with single `step`s —
@@ -560,7 +476,6 @@ mod tests {
         }
         assert_eq!(sl.poll_once(), 1, "the sweep serves the queued event");
         assert_eq!(sl.total_events(), 1);
-        assert_eq!(sl.driver_inline_events(), 0, "served by the sweep");
         let dg = ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
         assert_eq!(dg.from, 650);
     }
@@ -569,7 +484,7 @@ mod tests {
     fn drop_joins_workers_and_releases_addresses() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = vec![650, 651];
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 2, 2, None);
+        let sl = serve(&net, &ports, echo_registry(), 2, 2);
         let ep = net.bind_udp(4000);
         ep.send_to(650, call(1, 1));
         ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
@@ -584,7 +499,7 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 8);
         let reg = echo_registry();
         let ports: Vec<Addr> = vec![650, 651];
-        let sl = serve_udp_sharded_default(&net, &ports, reg.clone(), 2, 0, None);
+        let sl = serve(&net, &ports, reg.clone(), 2, 0);
         let ep = net.bind_udp(4000);
         let c = call(7, 1);
         ep.send_to(650, c.clone());
@@ -594,5 +509,35 @@ mod tests {
         assert_eq!(first.payload, second.payload, "replayed reply identical");
         assert_eq!(reg.generic_dispatches(), 1, "handler ran exactly once");
         assert_eq!(sl.total_events(), 2);
+    }
+
+    #[test]
+    fn concurrent_duplicates_execute_the_handler_exactly_once() {
+        // Force the in-progress race: a slow handler, 4 workers on one
+        // address, and the same datagram delivered many times while the
+        // first dispatch is still running. The duplicates must be
+        // suppressed or replayed — never re-dispatched.
+        let runs = Arc::new(AtomicU64::new(0));
+        let reg = SvcRegistry::new();
+        let r = runs.clone();
+        reg.register(300, 1, 1, move |_args, results| {
+            r.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(5));
+            let mut out = 9i32;
+            xdr_int(results, &mut out)?;
+            Ok(())
+        });
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let _sl = serve(&net, &[650], Arc::new(reg), 1, 4);
+        let ep = net.bind_udp(4000);
+        let c = call(42, 0);
+        for _ in 0..6 {
+            ep.send_to(650, c.clone());
+        }
+        // At least one reply arrives; the handler ran exactly once.
+        assert!(ep.recv_timeout(SimTime::from_millis(200)).is_some());
+        // Drain whatever replays the cache produced.
+        while ep.recv_timeout(SimTime::from_millis(20)).is_some() {}
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "exactly-once");
     }
 }

@@ -6,13 +6,21 @@
 //! ordered, the client never retransmits, and the simulator's fault model
 //! deliberately does not apply to TCP (see `specrpc_netsim::fault`), so a
 //! record arrives exactly once by construction.
+//!
+//! [`serve_tcp`] dispatches on the delivering thread;
+//! [`serve_tcp_pinned`] runs complete records on a small worker pool
+//! instead, pinning each accepted connection to one worker so records on
+//! a connection stay ordered while different connections dispatch on
+//! different threads.
 
 use crate::svc::SvcRegistry;
 use crate::svc_udp::{default_proc_time, ProcTimeModel};
 use specrpc_netsim::net::{Addr, Network, TcpHandler};
 use specrpc_netsim::SimTime;
 use specrpc_xdr::rec::{FRAG_LEN_MASK as LEN_MASK, LAST_FRAG_FLAG as LAST_FRAG};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 
 pub use crate::svc::Dispatcher;
 
@@ -32,7 +40,7 @@ impl SvcTcpConn {
     }
 
     /// A reassembler whose complete records go through an arbitrary
-    /// dispatcher (e.g. a [`crate::svc_threaded::DispatchPool`] worker).
+    /// dispatcher (e.g. a [`serve_tcp_pinned`] worker).
     pub fn with_dispatcher(dispatch: Dispatcher, model: ProcTimeModel) -> Self {
         SvcTcpConn {
             dispatch,
@@ -94,6 +102,96 @@ pub fn serve_tcp(
         addr,
         Box::new(move || {
             Box::new(SvcTcpConn::new(registry.clone(), model.clone())) as Box<dyn TcpHandler>
+        }),
+    );
+}
+
+/// One record handed to a pinned worker, with the channel its reply
+/// goes back on.
+type Job = (Vec<u8>, mpsc::SyncSender<Vec<u8>>);
+
+/// The worker threads behind [`serve_tcp_pinned`], one job queue each.
+/// Dropping the last reference (the listener and every open connection
+/// hold one) closes the queues and joins the workers.
+struct PinnedWorkers {
+    queues: Vec<mpsc::Sender<Job>>,
+    handles: Vec<JoinHandle<()>>,
+    next: AtomicUsize,
+}
+
+impl PinnedWorkers {
+    fn spawn(registry: Arc<SvcRegistry>, workers: usize) -> PinnedWorkers {
+        assert!(workers > 0, "pinned TCP service needs at least one worker");
+        let mut queues = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for i in 0..workers {
+            let (tx, rx) = mpsc::channel::<Job>();
+            let reg = registry.clone();
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("specrpc-tcp-{i}"))
+                    .spawn(move || {
+                        while let Ok((request, reply_tx)) = rx.recv() {
+                            // The connection may be gone; a closed reply
+                            // channel is fine.
+                            let _ = reply_tx.send(reg.dispatch(&request));
+                        }
+                    })
+                    .expect("spawn pinned TCP worker"),
+            );
+            queues.push(tx);
+        }
+        PinnedWorkers {
+            queues,
+            handles,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Dispatch one record on `worker`, blocking until its reply is ready.
+    fn dispatch_on(&self, worker: usize, request: &[u8]) -> Vec<u8> {
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+        self.queues[worker]
+            .send((request.to_vec(), reply_tx))
+            .expect("pinned TCP worker hung up");
+        reply_rx.recv().expect("pinned TCP worker died mid-request")
+    }
+}
+
+impl Drop for PinnedWorkers {
+    fn drop(&mut self) {
+        // Closing every queue ends each worker's receive loop.
+        self.queues.clear();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Install the registry as a TCP service at `addr`, dispatching complete
+/// records on `workers` threads: each accepted connection is pinned to
+/// one worker (round-robin), so records on a connection stay ordered.
+///
+/// # Panics
+/// Panics if `workers` is zero.
+pub fn serve_tcp_pinned(
+    net: &Network,
+    addr: Addr,
+    registry: Arc<SvcRegistry>,
+    workers: usize,
+    proc_time: Option<ProcTimeModel>,
+) {
+    let pool = Arc::new(PinnedWorkers::spawn(registry, workers));
+    let model: ProcTimeModel = proc_time.unwrap_or_else(default_proc_time);
+    net.serve_tcp(
+        addr,
+        Box::new(move || {
+            let worker = pool.next.fetch_add(1, Ordering::Relaxed) % pool.queues.len();
+            let p = pool.clone();
+            Box::new(SvcTcpConn::with_dispatcher(
+                Arc::new(move |request: &[u8]| p.dispatch_on(worker, request)),
+                model.clone(),
+            )) as Box<dyn TcpHandler>
         }),
     );
 }

@@ -214,13 +214,11 @@ pub fn serve_udp_with_cache(
     cache_entries: usize,
 ) {
     let bufs = registry.pool().clone();
-    serve_dispatcher_udp(
-        net,
+    let dispatch: Dispatcher = Arc::new(move |request: &[u8]| registry.dispatch(request));
+    let cd = CachedDispatch::new(dispatch, proc_time, cache_entries, bufs);
+    net.serve_udp(
         addr,
-        Arc::new(move |request: &[u8]| registry.dispatch(request)),
-        proc_time,
-        cache_entries,
-        bufs,
+        Box::new(move |request, from| cd.handle(request, from)),
     );
 }
 
@@ -268,11 +266,10 @@ struct DupState {
     in_progress: HashSet<(u32, Addr)>,
 }
 
-/// The cache-fronted dispatch body shared by every UDP serving mode —
-/// the blocking handler slot ([`serve_udp`]), the thread-pool adapter
-/// (`svc_threaded::attach_udp`), and the event reactor
-/// (`svc_event::serve_udp_event`) — so duplicate-request policy and
-/// replay cost stay identical across them. Dispatch runs with **no**
+/// The cache-fronted dispatch body shared by both UDP serving fronts —
+/// the blocking handler slot ([`serve_udp`]) and the shard-map reactor
+/// ([`crate::svc_shard::serve_udp_sharded`]) — so duplicate-request
+/// policy and replay cost stay identical across them. Dispatch runs with **no**
 /// cache lock held, so the reactor's workers process one address's
 /// requests in parallel; exactly-once execution is preserved by the
 /// in-progress set.
@@ -427,24 +424,6 @@ impl CachedDispatch {
         self.bufs.put(std::mem::take(request));
         Some((reply, t))
     }
-}
-
-/// Install an arbitrary [`Dispatcher`] as the UDP service at `addr`,
-/// fronted by the duplicate-request cache (see [`CachedDispatch`] for
-/// the shared body).
-pub(crate) fn serve_dispatcher_udp(
-    net: &Network,
-    addr: Addr,
-    dispatch: Dispatcher,
-    proc_time: Option<ProcTimeModel>,
-    cache_entries: usize,
-    bufs: Arc<BufPool>,
-) {
-    let cd = CachedDispatch::new(dispatch, proc_time, cache_entries, bufs);
-    net.serve_udp(
-        addr,
-        Box::new(move |request, from| cd.handle(request, from)),
-    );
 }
 
 #[cfg(test)]

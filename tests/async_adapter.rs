@@ -89,7 +89,7 @@ fn async_call_serves_through_a_sharded_reactor_in_the_background() {
     let net = Network::new(NetworkConfig::lan(), 31);
     let proc_ = Arc::new(build_echo_proc(16, None).unwrap());
     let ports = [ECHO_PORT, ECHO_PORT + 1, ECHO_PORT + 2, ECHO_PORT + 3];
-    let sharded = echo_service(proc_.clone()).serve_sharded(&net, &ports, 2, 0);
+    let sharded = echo_service(proc_.clone()).serve(&net, &ports, 2, 0);
     let data: Vec<i32> = (0..16).collect();
     // One call per socket so both shards answer through the adapter.
     for (i, &port) in ports.iter().enumerate() {

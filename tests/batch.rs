@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
-use specrpc::{EventService, PathUsed, ProcPipeline, SpecClient, SpecService};
+use specrpc::{PathUsed, ProcPipeline, ShardedService, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
 use specrpc_rpc::{ClntUdp, Transport};
@@ -21,13 +21,13 @@ use std::sync::Arc;
 const PORT: u32 = 820;
 
 /// Deploy the echo service (event-driven) and a specialized client. The
-/// returned `EventService` keeps the reactor alive for the test's
+/// returned `ShardedService` keeps the reactor alive for the test's
 /// duration (dropping it joins the workers).
 fn deploy(
     n: usize,
     seed: u64,
     faults: FaultConfig,
-) -> (Network, SpecClient<ClntUdp>, EventService) {
+) -> (Network, SpecClient<ClntUdp>, ShardedService) {
     let proc_ = Arc::new(
         ProcPipeline::new(n)
             .build_from_idl(ECHO_IDL, None, ECHO_PROC)
@@ -38,7 +38,7 @@ fn deploy(
         .proc(proc_.clone(), |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_event(&net, PORT, 1);
+        .serve(&net, &[PORT], 1, 1);
     let mut clnt = ClntUdp::create(&net, 5800, PORT, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);
     clnt.total_timeout = SimTime::from_millis(60_000);

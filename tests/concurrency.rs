@@ -1,20 +1,18 @@
-//! Concurrency stress: the tentpole property of this refactor. The whole
-//! serving stack is `Send + Sync` (compile-time asserted below), one
-//! `SpecService` served in `serve_threaded` mode handles N client threads
-//! hammering it over one shared network, every thread resolves its stubs
-//! through one shared `StubCache`, and afterwards every counter adds up:
-//! no lost or duplicated replies, `hits + misses == cache lookups`, and
-//! the pool's per-thread dispatch counts sum to the number of unique
-//! transactions.
+//! Concurrency stress: the whole serving stack is `Send + Sync`
+//! (compile-time asserted below), one `SpecService` served on a
+//! multi-worker reactor handles N client threads hammering it over one
+//! shared network, every thread resolves its stubs through one shared
+//! `StubCache`, and afterwards every counter adds up: no lost or
+//! duplicated replies, `hits + misses == cache lookups`, and the
+//! reactor's event count equals the number of unique transactions.
 
 use specrpc::echo::{echo_spec, ECHO_IDL, ECHO_PROG, ECHO_VERS};
 use specrpc::{
-    EventService, PathUsed, ProcPipeline, SpecClient, SpecService, StubCache, Summary,
-    ThreadedService,
+    PathUsed, ProcPipeline, ShardedService, SpecClient, SpecService, StubCache, Summary,
 };
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::SimTime;
-use specrpc_rpc::{ClntUdp, DispatchPool, SvcRegistry};
+use specrpc_rpc::{ClntUdp, ShardedEventLoop, SvcRegistry};
 use specrpc_tempo::compile::StubArgs;
 use std::sync::Arc;
 
@@ -33,10 +31,8 @@ fn serving_stack_is_send_and_sync() {
     assert_send_sync::<SvcRegistry>();
     assert_send_sync::<SpecService>();
     assert_send_sync::<StubCache>();
-    assert_send_sync::<DispatchPool>();
-    assert_send_sync::<ThreadedService>();
-    assert_send_sync::<EventService>();
-    assert_send_sync::<specrpc_rpc::EventLoop>();
+    assert_send_sync::<ShardedService>();
+    assert_send_sync::<ShardedEventLoop>();
 }
 
 fn thread_data(t: usize, i: usize) -> Vec<i32> {
@@ -46,7 +42,7 @@ fn thread_data(t: usize, i: usize) -> Vec<i32> {
 }
 
 #[test]
-fn n_threads_hammer_one_threaded_service_through_one_cache() {
+fn n_threads_hammer_one_reactor_through_one_cache() {
     let cache = Arc::new(StubCache::new());
     let net = Network::new(NetworkConfig::lan(), 4242);
 
@@ -58,7 +54,7 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
         .proc(proc_, |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_threaded(&net, PORT, 4);
+        .serve(&net, &[PORT], 1, 4);
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -109,15 +105,14 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
     assert_eq!(stats.misses, 1, "one compile for everyone: {stats:?}");
     assert_eq!(stats.entries, 1);
 
-    // Pool accounting: each unique transaction dispatched exactly once
-    // (retransmissions replay from the duplicate-request cache and are
-    // not re-dispatched), spread across the workers.
-    let per_thread = served.per_thread_dispatches();
-    assert_eq!(per_thread.len(), 4);
+    // Reactor accounting: workers + driver steals processed each unique
+    // transaction exactly once (under a clean network with huge
+    // timeouts there are no retransmissions to replay).
+    let per_shard = served.per_shard_events();
     assert_eq!(
-        per_thread.iter().sum::<u64>(),
+        served.total_events(),
         (THREADS * CALLS) as u64,
-        "unique dispatches: {per_thread:?}"
+        "unique events: {per_shard:?}"
     );
     assert_eq!(
         served.registry.raw_dispatches(),
@@ -129,10 +124,10 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
     // The whole story surfaces through one Summary.
     let report = Summary::default()
         .with_cache(stats)
-        .with_threads(per_thread)
+        .with_shards(per_shard)
         .render();
     assert!(report.contains("stub cache"), "{report}");
-    assert!(report.contains("threaded dispatch"), "{report}");
+    assert!(report.contains("shard map"), "{report}");
 }
 
 #[test]
@@ -154,7 +149,7 @@ fn n_threads_hammer_one_event_served_service_with_batches() {
         .proc(proc_, |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_event(&net, PORT + 20, 4);
+        .serve(&net, &[PORT + 20], 1, 4);
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -197,15 +192,15 @@ fn n_threads_hammer_one_event_served_service_with_batches() {
     // with huge timeouts there are none).
     assert_eq!(served.total_events(), (THREADS * BATCH * BATCHES) as u64);
     let report = Summary::default()
-        .with_events(served.per_worker_events())
+        .with_shards(served.per_shard_events())
         .render();
-    assert!(report.contains("event loop"), "{report}");
+    assert!(report.contains("shard map"), "{report}");
 }
 
 #[test]
 fn threaded_tcp_pins_connections_to_workers() {
-    // serve_threaded + also_tcp: connections from different client
-    // threads dispatch on (round-robin) pinned workers; records within a
+    // serve_tcp_pinned: connections from different client threads
+    // dispatch on (round-robin) pinned workers; records within a
     // connection stay ordered.
     let net = Network::new(NetworkConfig::lan(), 777);
     let proc_ = Arc::new(
@@ -213,12 +208,11 @@ fn threaded_tcp_pins_connections_to_workers() {
             .build_from_idl(ECHO_IDL, None, 1)
             .expect("pipeline"),
     );
-    let served = SpecService::new()
+    let registry = SpecService::new()
         .proc(proc_.clone(), |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_threaded(&net, PORT + 10, 2);
-    served.also_tcp(&net, PORT + 11);
+        .serve_tcp_pinned(&net, PORT + 11, 2);
 
     let mut handles = Vec::new();
     for t in 0..4usize {
@@ -246,10 +240,6 @@ fn threaded_tcp_pins_connections_to_workers() {
     for h in handles {
         h.join().expect("tcp client thread");
     }
-    let per_thread = served.per_thread_dispatches();
-    assert_eq!(per_thread.iter().sum::<u64>(), 20, "{per_thread:?}");
-    assert!(
-        per_thread.iter().all(|&c| c > 0),
-        "both workers saw connections: {per_thread:?}"
-    );
+    // Every record of every connection dispatched exactly once.
+    assert_eq!(registry.raw_dispatches(), 20);
 }

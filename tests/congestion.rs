@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use specrpc::congestion::policy_label;
 use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
 use specrpc::{
-    run_congestion, run_congestion_matrix, CongestionConfig, EventService, PathUsed, ProcPipeline,
-    SpecClient, SpecService,
+    run_congestion, run_congestion_matrix, CongestionConfig, PathUsed, ProcPipeline,
+    ShardedService, SpecClient, SpecService,
 };
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
@@ -32,7 +32,7 @@ fn deploy(
     seed: u64,
     faults: FaultConfig,
     rx_queue_cap: usize,
-) -> (Network, SpecClient<ClntUdp>, EventService, Arc<AtomicU64>) {
+) -> (Network, SpecClient<ClntUdp>, ShardedService, Arc<AtomicU64>) {
     let proc_ = Arc::new(
         ProcPipeline::new(n)
             .build_from_idl(ECHO_IDL, None, ECHO_PROC)
@@ -51,7 +51,7 @@ fn deploy(
             counter.fetch_add(1, Ordering::Relaxed);
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_event(&net, PORT, 1);
+        .serve(&net, &[PORT], 1, 1);
     let mut clnt = ClntUdp::create(&net, 5900, PORT, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);
     clnt.total_timeout = SimTime::from_millis(60_000);

@@ -99,7 +99,8 @@ fn run_udp(cfg: FaultConfig, seed: u64) -> RunResult {
 }
 
 /// Like [`run_udp`] but serving through the event-driven reactor
-/// (`serve_event`, one worker) instead of the blocking handler slot.
+/// (`serve` with one shard and one worker) instead of the blocking
+/// handler slot.
 fn run_udp_event(cfg: FaultConfig, seed: u64) -> RunResult {
     let net = Network::new(NetworkConfig::lan().with_faults(cfg), seed);
     let runs = Arc::new(AtomicU64::new(0));
@@ -114,7 +115,7 @@ fn run_udp_event(cfg: FaultConfig, seed: u64) -> RunResult {
             r.fetch_add(1, Ordering::Relaxed);
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_event(&net, 700, 1);
+        .serve(&net, &[700], 1, 1);
     let result = drive_udp(&net, runs);
     drop(service);
     result
@@ -246,7 +247,7 @@ fn udp_duplicated_datagrams_execute_handlers_exactly_once() {
 
 #[test]
 fn udp_event_reactor_fault_matrix_matches_the_blocking_path() {
-    // The whole matrix again through `serve_event`: every conformance
+    // The whole matrix again through `serve`: every conformance
     // property of the blocking path must survive the reactor — and the
     // traces must be IDENTICAL between the two serving modes (bytes,
     // handler runs, retransmits, and the virtual clock), because with a

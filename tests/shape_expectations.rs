@@ -1,4 +1,4 @@
-//! The DESIGN.md §3 shape expectations, asserted end-to-end from the
+//! The evaluation's shape expectations, asserted end-to-end from the
 //! experiment drivers (these are the properties the paper's figures show;
 //! absolute values are modeled, shapes must hold).
 

@@ -98,7 +98,7 @@ fn run_sharded(cfg: FaultConfig, seed: u64, shards: usize) -> RunResult {
             r.fetch_add(1, Ordering::Relaxed);
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_sharded(&net, &PORTS, shards, 0);
+        .serve(&net, &PORTS, shards, 0);
 
     let mut clients: Vec<ClntUdp> = PORTS
         .iter()

@@ -89,11 +89,12 @@ fn pooled_specialized_round_trip_allocates_zero_after_warmup() {
 
 #[test]
 fn event_reactor_keeps_the_wire_path_allocation_free() {
-    // The same steady-state bar under `serve_event`: the reactor (and
-    // the driver's work stealing) dispatch through the same pooled path,
-    // so once warm a specialized round trip still performs zero
-    // wire-path heap allocations — batched or one at a time.
-    use specrpc_rpc::svc_event::serve_udp_event_with_cache;
+    // The same steady-state bar under a one-shard, one-worker reactor:
+    // the worker (and the driver's work stealing) dispatch through the
+    // same pooled path, so once warm a specialized round trip still
+    // performs zero wire-path heap allocations — batched or one at a
+    // time.
+    use specrpc_rpc::svc_shard::serve_udp_sharded;
     let n = 200;
     let proc_ = Arc::new(
         ProcPipeline::new(n)
@@ -106,7 +107,7 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
         .into_registry();
-    let reactor = serve_udp_event_with_cache(&net, 912, reg.clone(), 1, None, 4);
+    let reactor = serve_udp_sharded(&net, &[912], reg.clone(), 1, 1, None, 4);
     let clnt = ClntUdp::create_pooled(&net, 5602, 912, ECHO_PROG, ECHO_VERS, reg.pool().clone());
     let mut client = SpecClient::from_parts(clnt, proc_);
 
@@ -151,6 +152,50 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
         "a warm pipelined batch must allocate nothing on the wire path"
     );
     assert!(reactor.total_events() >= 35);
+}
+
+#[test]
+fn serve_draws_wire_buffers_from_the_registry_pool() {
+    // `SpecService::serve` hands its shards the registry's wire-buffer
+    // pool, so a client created over that same pool keeps the
+    // allocation-free steady state (a private per-shard pool would make
+    // every warm call allocate its request and reply buffers).
+    use specrpc_rpc::svc_udp::DUP_CACHE_ENTRIES;
+    let n = 20;
+    let proc_ = Arc::new(
+        ProcPipeline::new(n)
+            .build_from_idl(ECHO_IDL, None, ECHO_PROC)
+            .unwrap(),
+    );
+    let net = Network::new(NetworkConfig::lan(), 29);
+    let served = SpecService::new()
+        .proc(proc_.clone(), |args: &StubArgs| {
+            StubArgs::new(vec![], vec![args.arrays[0].clone()])
+        })
+        .serve(&net, &[914], 1, 1);
+    let pool = served.registry.pool().clone();
+    let clnt = ClntUdp::create_pooled(&net, 5604, 914, ECHO_PROG, ECHO_VERS, pool);
+    let mut client = SpecClient::from_parts(clnt, proc_);
+
+    let data = workload(n);
+    let args = client.args(vec![], vec![data.clone()]);
+    let mut out = StubArgs::default();
+    // Warm-up: the default-size duplicate-request cache must fill before
+    // its evictions start feeding reply buffers back into the pool.
+    for _ in 0..DUP_CACHE_ENTRIES + 16 {
+        client.call_into(&args, &mut out).unwrap();
+    }
+    let allocs_before = client.counts.heap_allocs;
+    for round in 0..25 {
+        let path = client.call_into(&args, &mut out).unwrap();
+        assert_eq!(path, PathUsed::Fast, "round {round}");
+        assert_eq!(out.arrays[0], data, "round {round}");
+    }
+    assert_eq!(
+        client.counts.heap_allocs - allocs_before,
+        0,
+        "a client pooled on the registry's pool must not allocate once warm"
+    );
 }
 
 #[test]
