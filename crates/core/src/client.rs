@@ -20,6 +20,10 @@ use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::{OpCounts, WireBuf, XdrStream};
 use std::sync::Arc;
 
+/// One transport step over an encoded batch (its request images and
+/// xids): a blocking batch, a start, or a poll.
+type BatchOp<T> = fn(&mut T, &[&[u8]], &[u32]) -> Result<Option<Vec<Vec<u8>>>, RpcError>;
+
 /// Which path served a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathUsed {
@@ -156,13 +160,9 @@ pub struct SpecClient<T: Transport> {
     /// position `i`'s wire image, preallocated on first use and rewound
     /// every batch (one `WireBuf` scratch per slot).
     batch_req: Vec<WireBuf>,
-    /// Reused xid scratch for batched calls.
+    /// Reused xid scratch for batched calls (the xids of the batch last
+    /// encoded).
     batch_xids: Vec<u32>,
-    /// Wire-allocation watermark for the nonblocking (async-adapter)
-    /// lane: [`SpecClient::call_begin`]/[`SpecClient::batch_begin`] mark
-    /// it, [`SpecClient::call_finish`] folds the delta since the mark
-    /// into `counts.heap_allocs` and re-marks.
-    async_allocs_mark: u64,
     /// Stub-op, byte, and allocation counts from specialized marshaling
     /// (generic fallback decoding accumulates here too).
     pub counts: OpCounts,
@@ -195,7 +195,6 @@ impl<T: Transport> SpecClient<T> {
             req: WireBuf::new(),
             batch_req: Vec::new(),
             batch_xids: Vec::new(),
-            async_allocs_mark: 0,
             counts: OpCounts::new(),
             fast_calls: 0,
             fallback_calls: 0,
@@ -418,21 +417,50 @@ impl<T: Transport> SpecClient<T> {
         batch: &[StubArgs],
         outs: &mut [StubArgs],
     ) -> Result<Vec<PathUsed>, RpcError> {
-        assert_eq!(batch.len(), outs.len(), "one result slot per call");
-        let allocs_before = self.transport.wire_allocs();
-        self.calls += batch.len() as u64;
-        let result = self.call_batch_inner(batch, outs);
-        self.counts.heap_allocs += self.transport.wire_allocs() - allocs_before;
-        result
+        self.start(batch, outs, |t, requests, xids| {
+            t.call_batch(requests, xids).map(Some)
+        })
+        .map(|paths| paths.expect("a blocking batch completes"))
     }
 
-    fn call_batch_inner(
+    /// [`SpecClient::call_batch_into`] without blocking, through
+    /// [`Transport::start_batch`]: `Ok(None)` means the batch is on the
+    /// wire — finish it with [`SpecClient::poll_batch`] while something
+    /// else drives the network; `Ok(Some(paths))` means it completed
+    /// inline.
+    ///
+    /// # Panics
+    /// Panics if `batch` and `outs` have different lengths.
+    pub fn start_batch(
         &mut self,
         batch: &[StubArgs],
         outs: &mut [StubArgs],
-    ) -> Result<Vec<PathUsed>, RpcError> {
+    ) -> Result<Option<Vec<PathUsed>>, RpcError> {
+        self.start(batch, outs, |t, requests, xids| {
+            t.start_batch(requests, xids)
+        })
+    }
+
+    /// Advance the batch [`SpecClient::start_batch`] left in flight
+    /// ([`Transport::poll_batch`]): `Ok(None)` until every reply is in,
+    /// then the replies decoded into `outs` (the same slots the start
+    /// was given).
+    pub fn poll_batch(&mut self, outs: &mut [StubArgs]) -> Result<Option<Vec<PathUsed>>, RpcError> {
+        self.step(outs, |t, requests, _| t.poll_batch(requests))
+    }
+
+    /// Encode `batch` (each call into its own reused per-slot
+    /// [`WireBuf`]) and run the transport's first step on it.
+    fn start(
+        &mut self,
+        batch: &[StubArgs],
+        outs: &mut [StubArgs],
+        op: BatchOp<T>,
+    ) -> Result<Option<Vec<PathUsed>>, RpcError> {
+        assert_eq!(batch.len(), outs.len(), "one result slot per call");
+        self.calls += batch.len() as u64;
         if batch.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Some(Vec::new()));
         }
         // One WireBuf scratch per slot, grown once and rewound per batch.
         while self.batch_req.len() < batch.len() {
@@ -444,22 +472,47 @@ impl<T: Transport> SpecClient<T> {
             Self::encode_into(&self.proc_, req, args, xid, &mut self.counts)?;
             self.batch_xids.push(xid);
         }
-        let requests: Vec<&[u8]> = self.batch_req[..batch.len()]
-            .iter()
-            .map(WireBuf::bytes)
-            .collect();
-        let replies = self.transport.call_batch(&requests, &self.batch_xids)?;
-        if replies.len() != batch.len() {
+        self.step(outs, op)
+    }
+
+    /// Run one transport step over the encoded batch, decode the replies
+    /// once it completes, and fold the wire allocations the step
+    /// provoked into `counts.heap_allocs`.
+    fn step(
+        &mut self,
+        outs: &mut [StubArgs],
+        op: BatchOp<T>,
+    ) -> Result<Option<Vec<PathUsed>>, RpcError> {
+        let allocs_before = self.transport.wire_allocs();
+        let n = self.batch_xids.len();
+        let requests: Vec<&[u8]> = self.batch_req[..n].iter().map(WireBuf::bytes).collect();
+        let stepped = op(&mut self.transport, &requests, &self.batch_xids);
+        drop(requests);
+        let result = match stepped {
+            Ok(Some(replies)) => self.decode_batch(replies, outs).map(Some),
+            other => other.map(|_| None),
+        };
+        self.counts.heap_allocs += self.transport.wire_allocs() - allocs_before;
+        result
+    }
+
+    /// Decode a batch's replies into `outs`, in submission order.
+    fn decode_batch(
+        &mut self,
+        replies: Vec<Vec<u8>>,
+        outs: &mut [StubArgs],
+    ) -> Result<Vec<PathUsed>, RpcError> {
+        if replies.len() != outs.len() {
             // A transport violating the one-reply-per-request contract
             // must surface as an error, not as silently truncated
             // results.
             return Err(RpcError::Transport(format!(
                 "transport returned {} replies for a batch of {}",
                 replies.len(),
-                batch.len()
+                outs.len()
             )));
         }
-        let mut paths = Vec::with_capacity(batch.len());
+        let mut paths = Vec::with_capacity(outs.len());
         let mut first_err = None;
         for (reply, out) in replies.into_iter().zip(outs.iter_mut()) {
             // Even when one call's decode fails, every reply buffer must
@@ -477,99 +530,6 @@ impl<T: Transport> SpecClient<T> {
             None => Ok(paths),
             Some(e) => Err(e),
         }
-    }
-
-    /// Whether the underlying transport supports the nonblocking
-    /// (async-adapter) lane — see [`Transport::nonblocking`].
-    pub fn nonblocking(&self) -> bool {
-        self.transport.nonblocking()
-    }
-
-    // ------------------------------------------------------------------
-    // The nonblocking call surface consumed by the `specrpc-async`
-    // adapter: begin (encode + transmit), poll, resend, finish (decode +
-    // recycle). The request image stays in the client's reusable wire
-    // buffer between begin and finish, so retransmission re-sends the
-    // same bytes — exactly like the blocking lane.
-    // ------------------------------------------------------------------
-
-    /// Begin one nonblocking call: allocate the xid, encode the request
-    /// image (kept for [`SpecClient::call_resend`]), and transmit it
-    /// once. At most one `call_begin` transaction may be outstanding per
-    /// client; use the batch surface for overlapped calls.
-    pub fn call_begin(&mut self, args: &StubArgs) -> Result<u32, RpcError> {
-        self.calls += 1;
-        self.async_allocs_mark = self.transport.wire_allocs();
-        let xid = self.transport.next_xid();
-        Self::encode_into(&self.proc_, &mut self.req, args, xid, &mut self.counts)?;
-        self.transport.send_request(self.req.bytes(), xid)?;
-        Ok(xid)
-    }
-
-    /// Nonblocking readiness poll for an outstanding
-    /// [`SpecClient::call_begin`] transaction.
-    pub fn call_poll(&mut self, xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        self.transport.poll_reply(xid)
-    }
-
-    /// Retransmit the outstanding [`SpecClient::call_begin`] request
-    /// image (per-try timeout elapsed without a reply).
-    pub fn call_resend(&mut self, xid: u32) -> Result<(), RpcError> {
-        self.transport.send_request(self.req.bytes(), xid)
-    }
-
-    /// Begin `batch.len()` nonblocking calls: encode each into its
-    /// reused per-slot wire buffer and transmit all of them, returning
-    /// the xids in submission order. Collect replies with
-    /// [`SpecClient::batch_poll_any`] and straggler-retransmit with
-    /// [`SpecClient::batch_resend`].
-    pub fn batch_begin(&mut self, batch: &[StubArgs]) -> Result<Vec<u32>, RpcError> {
-        self.calls += batch.len() as u64;
-        self.async_allocs_mark = self.transport.wire_allocs();
-        while self.batch_req.len() < batch.len() {
-            self.batch_req.push(WireBuf::new());
-        }
-        self.batch_xids.clear();
-        for (args, req) in batch.iter().zip(self.batch_req.iter_mut()) {
-            let xid = self.transport.next_xid();
-            Self::encode_into(&self.proc_, req, args, xid, &mut self.counts)?;
-            self.batch_xids.push(xid);
-        }
-        for (req, &xid) in self.batch_req.iter().zip(&self.batch_xids) {
-            self.transport.send_request(req.bytes(), xid)?;
-        }
-        Ok(self.batch_xids.clone())
-    }
-
-    /// Nonblocking poll matching any of `xids` (the still-outstanding
-    /// subset of a [`SpecClient::batch_begin`]): position + reply bytes.
-    pub fn batch_poll_any(&mut self, xids: &[u32]) -> Result<Option<(usize, Vec<u8>)>, RpcError> {
-        self.transport.poll_reply_any(xids)
-    }
-
-    /// Retransmit batch slot `slot` (submission index) of the current
-    /// [`SpecClient::batch_begin`].
-    pub fn batch_resend(&mut self, slot: usize) -> Result<(), RpcError> {
-        let xid = self.batch_xids[slot];
-        self.transport
-            .send_request(self.batch_req[slot].bytes(), xid)
-    }
-
-    /// Finish a nonblocking call: decode `reply` into `out` (specialized
-    /// fast path with generic fallback, like the blocking lane), recycle
-    /// the reply buffer, and fold the wire allocations the transaction's
-    /// window provoked.
-    pub fn call_finish(
-        &mut self,
-        reply: Vec<u8>,
-        out: &mut StubArgs,
-    ) -> Result<PathUsed, RpcError> {
-        let result = self.decode_reply(&reply, out);
-        self.transport.recycle(reply);
-        let now = self.transport.wire_allocs();
-        self.counts.heap_allocs += now - self.async_allocs_mark;
-        self.async_allocs_mark = now;
-        result
     }
 
     /// Build the argument [`StubArgs`] with the xid slot reserved.

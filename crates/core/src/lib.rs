@@ -250,8 +250,9 @@
 //! ```
 //!
 //! On top of the same readiness surface, the `specrpc-async` crate
-//! wraps the nonblocking client lane ([`SpecClient::call_begin`] /
-//! `call_poll` / `call_finish`) and the shard map's
+//! wraps the nonblocking client lane ([`SpecClient::start_batch`] /
+//! [`SpecClient::poll_batch`], which drive the transport's one exchange
+//! engine under its own retry settings) and the shard map's
 //! [`specrpc_rpc::ShardedEventLoop::poll_once`] sweep in ordinary
 //! `Future`s, with a tiny `block_on` executor that interleaves polling
 //! with simulator steps — async-capable entry points without touching

@@ -774,20 +774,6 @@ impl Network {
             .map_or(0, |q| q.ready.len())
     }
 
-    /// Nonblocking probe over a socket *set*: whether any of `addrs` has
-    /// a queued readiness event. One lock acquisition for the whole set —
-    /// what a shard's reactor (or a steal pass over a peer shard's
-    /// sockets) checks before committing to a sweep.
-    pub fn ready_any(&self, addrs: &[Addr]) -> bool {
-        let inner = self.lock();
-        addrs.iter().any(|a| {
-            inner
-                .event_queues
-                .get(a)
-                .is_some_and(|q| !q.ready.is_empty())
-        })
-    }
-
     /// Readiness events currently queued or checked out across **all**
     /// event-mode addresses — the simulator-wide backlog the idle
     /// fast-forward refuses to jump (observability for reactor sizing).

@@ -4,6 +4,7 @@
 
 use crate::bufpool::BufPool;
 use crate::error::RpcError;
+use crate::exchange::{self, Slot};
 use crate::msg::{CallHeader, ReplyHeader};
 use crate::transport::Transport;
 use crate::xid::XidGen;
@@ -87,82 +88,52 @@ impl ClntTcp {
         Ok(())
     }
 
-    /// One raw record exchange on the current connection (the body of
-    /// `Transport::call`; the wrapper adds the one-shot reconnect).
-    fn call_once(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
-        debug_assert!(request.len() >= 4);
-        debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
-            "request must start with its xid"
-        );
-        rec::write_record(&mut self.conn, request)
-            .map_err(|e| RpcError::Transport(e.to_string()))?;
-        let mut reply = self.pool.take(request.len().max(self.reply_hint));
-        let mut cap0 = reply.capacity();
-        loop {
-            rec::read_record_into(&mut self.conn, &mut reply)
-                .map_err(|e| RpcError::Transport(e.to_string()))?;
-            self.reply_hint = self.reply_hint.max(reply.len());
-            if reply.capacity() > cap0 {
-                // The reassembler outgrew the pooled buffer (an
-                // oversized reply): account the hidden allocation so
-                // allocs-per-call stays honest.
-                self.pool.note_alloc();
-                cap0 = reply.capacity();
+    /// One pipelined exchange (a call is a batch of one): write the record
+    /// of every unanswered slot, then read reply records until each slot
+    /// holds the one carrying its xid (stale records are skipped, as in
+    /// `clnttcp_call`). The stream is reliable, so nothing retransmits; a
+    /// transport error (dead peer, read timeout) triggers one reconnect
+    /// and a retry of the unanswered slots before surfacing.
+    fn exchange(&mut self, requests: &[&[u8]], slots: &mut [Slot]) -> Result<(), RpcError> {
+        match self.exchange_once(requests, slots) {
+            Err(RpcError::Transport(_)) => {
+                self.reconnect()?;
+                self.exchange_once(requests, slots)
             }
-            if reply.len() >= 4
-                && u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]) == xid
-            {
-                return Ok(reply);
-            }
+            done => done,
         }
     }
 
-    /// One pipelined-batch attempt on the current connection (the body
-    /// of `Transport::call_batch`; the wrapper adds the reconnect).
-    fn call_batch_once(
-        &mut self,
-        requests: &[&[u8]],
-        xids: &[u32],
-    ) -> Result<Vec<Vec<u8>>, RpcError> {
-        assert_eq!(requests.len(), xids.len(), "one xid per request");
-        for (r, &xid) in requests.iter().zip(xids) {
-            debug_assert!(r.len() >= 4);
-            debug_assert_eq!(
-                u32::from_be_bytes([r[0], r[1], r[2], r[3]]),
-                xid,
-                "each request must start with its xid"
-            );
+    /// One [`ClntTcp::exchange`] attempt on the current connection.
+    fn exchange_once(&mut self, requests: &[&[u8]], slots: &mut [Slot]) -> Result<(), RpcError> {
+        let mut unanswered = 0;
+        let mut hint = self.reply_hint;
+        for (r, slot) in requests.iter().zip(slots.iter()) {
+            if slot.reply.is_some() {
+                continue;
+            }
             rec::write_record(&mut self.conn, r).map_err(|e| RpcError::Transport(e.to_string()))?;
+            unanswered += 1;
+            hint = hint.max(r.len());
         }
-        let mut replies: Vec<Option<Vec<u8>>> = (0..requests.len()).map(|_| None).collect();
-        let mut outstanding = requests.len();
-        let hint = requests.iter().map(|r| r.len()).max().unwrap_or(0);
-        while outstanding > 0 {
+        while unanswered > 0 {
             let mut reply = self.pool.take(hint.max(self.reply_hint));
             let cap0 = reply.capacity();
             rec::read_record_into(&mut self.conn, &mut reply)
                 .map_err(|e| RpcError::Transport(e.to_string()))?;
             self.reply_hint = self.reply_hint.max(reply.len());
             if reply.capacity() > cap0 {
+                // The reassembler outgrew the pooled buffer (an oversized
+                // reply): account the hidden allocation so
+                // allocs-per-call stays honest.
                 self.pool.note_alloc();
             }
-            let slot = if reply.len() >= 4 {
-                let rx = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-                xids.iter().position(|&x| x == rx)
-            } else {
-                None
-            };
-            match slot {
-                Some(i) if replies[i].is_none() => {
-                    replies[i] = Some(reply);
-                    outstanding -= 1;
-                }
-                _ => self.pool.put(reply), // stale record: reuse the buffer
+            match exchange::file(slots, reply) {
+                Ok(()) => unanswered -= 1,
+                Err(stale) => self.pool.put(stale),
             }
         }
-        Ok(replies.into_iter().map(|r| r.expect("filled")).collect())
+        Ok(())
     }
 
     /// `clnt_call` over TCP: one record out, one record in.
@@ -215,41 +186,22 @@ impl Transport for ClntTcp {
         self.xids.next_xid()
     }
 
-    /// Raw record exchange: the request goes out as one record; reply
-    /// records are read until the xid matches (stale replies skipped, as
-    /// in `clnttcp_call`'s receive loop). The stream is reliable, so
-    /// there is no retransmission; a transport error (dead peer, read
-    /// timeout) triggers one reconnect-and-retry on a fresh connection
-    /// before surfacing — the whole record is resent, which is safe
-    /// because nothing of the failed attempt was answered.
+    /// Raw record exchange: a batch of one through the record loop.
     fn call(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
-        match self.call_once(request, xid) {
-            Err(RpcError::Transport(_)) => {
-                self.reconnect()?;
-                self.call_once(request, xid)
-            }
-            done => done,
-        }
+        debug_assert_eq!(request.first_chunk(), Some(&xid.to_be_bytes()));
+        let mut slots = [Slot::new(xid)];
+        self.exchange(&[request], &mut slots)?;
+        let [slot] = slots;
+        Ok(slot.reply.expect("the slot was answered"))
     }
 
-    /// Pipelined batch over the stream: every call record is written
-    /// before any reply record is read, so the per-record round-trip
-    /// latency overlaps across the batch (the server answers records in
-    /// arrival order on one connection; matching is still by xid). A
-    /// transport error triggers one reconnect and a retry of the whole
-    /// batch on the fresh connection before surfacing.
+    /// Pipelined batch: every record is written before any reply is read,
+    /// so the per-record round-trip latency overlaps across the batch.
     fn call_batch(&mut self, requests: &[&[u8]], xids: &[u32]) -> Result<Vec<Vec<u8>>, RpcError> {
-        match self.call_batch_once(requests, xids) {
-            Err(RpcError::Transport(_)) => {
-                self.reconnect()?;
-                self.call_batch_once(requests, xids)
-            }
-            done => done,
-        }
-    }
-
-    fn batch_mode(&self) -> crate::transport::BatchMode {
-        crate::transport::BatchMode::Pipelined
+        assert_eq!(requests.len(), xids.len(), "one xid per request");
+        let mut slots: Vec<Slot> = xids.iter().map(|&xid| Slot::new(xid)).collect();
+        let done = self.exchange(requests, &mut slots);
+        exchange::replies(slots, done, &self.pool)
     }
 
     fn recycle(&mut self, reply: Vec<u8>) {
@@ -429,10 +381,6 @@ mod tests {
         let (requests, xids) = build(&mut batch_clnt, 6);
         let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
         let batched = batch_clnt.call_batch(&refs, &xids).unwrap();
-        assert_eq!(
-            batch_clnt.batch_mode(),
-            crate::transport::BatchMode::Pipelined
-        );
 
         let net2 = Network::new(NetworkConfig::lan(), 11);
         serve_tcp(&net2, 2049, service(), None);

@@ -1,20 +1,28 @@
 //! The UDP RPC client (`clntudp_create`/`clntudp_call`): transaction ids,
 //! per-try timeout with retransmission, reply matching, and the generic
 //! marshaling path through the layered XDR routines.
+//!
+//! A call, a pipelined batch and a batch the async lane polls all drive
+//! the one sans-IO [`crate::exchange`] engine (a call is a batch of one);
+//! the client adds the socket, the buffer pool, the replica walk with
+//! its breakers, and the one-way coalescer.
 
 use crate::breaker::CircuitBreaker;
 use crate::bufpool::BufPool;
 use crate::coalesce::{CallCoalescer, CoalescePolicy, CoalesceStats, FlushReason, WINDOW_CAP};
 use crate::error::RpcError;
+pub use crate::exchange::RetryPolicy;
+use crate::exchange::{self, Exchange, Schedule, Slot, Step};
 use crate::msg::{CallHeader, ReplyHeader};
 use crate::transport::Transport;
 use crate::xid::XidGen;
-use specrpc_netsim::net::{Addr, Network};
+use specrpc_netsim::net::{Addr, Datagram, Network};
 use specrpc_netsim::udp::SimUdpSocket;
 use specrpc_netsim::SimTime;
 use specrpc_xdr::coalesce;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::{OpCounts, XdrResult, XdrStream};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Maximum UDP payload the original transport allows (`UDPMSGSIZE` is
@@ -22,100 +30,15 @@ use std::sync::Arc;
 /// datagram, as its ATM/Fast-Ethernet setup effectively did).
 pub const UDP_BUF_SIZE: usize = 66_000;
 
-/// Retransmission strategy for [`ClntUdp`] — the knob the congestion /
-/// retransmission study turns. All strategies use
-/// [`ClntUdp::retry_timeout`] as the base per-try wait and
-/// [`ClntUdp::total_timeout`] as the overall bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryPolicy {
-    /// Classic `clntudp_call` (the default): every try waits the same
-    /// fixed `retry_timeout` before retransmitting everything still
-    /// outstanding.
-    Fixed,
-    /// Exponential backoff: try `k` waits `retry_timeout · 2^k`, capped
-    /// at `cap` — fewer, later retransmissions, easing pressure on a
-    /// congested link at the price of slower loss recovery.
-    ExpBackoff {
-        /// Upper bound on the per-try timeout.
-        cap: SimTime,
-    },
-    /// Fixed per-try timeout, but batch retransmissions are *paced*
-    /// `gap` apart in virtual time instead of re-blasted back-to-back,
-    /// and replies landing inside a gap are drained immediately — a
-    /// straggler answered mid-pace is not resent. Spreads the resend
-    /// burst so a bounded server queue can absorb it.
-    Paced {
-        /// Virtual-time spacing between consecutive resends of a round.
-        gap: SimTime,
-    },
-}
-
-impl RetryPolicy {
-    /// Per-try timeout for the 0-based retry round `attempt`.
-    pub fn try_timeout(self, base: SimTime, attempt: u32) -> SimTime {
-        match self {
-            RetryPolicy::Fixed | RetryPolicy::Paced { .. } => base,
-            RetryPolicy::ExpBackoff { cap } => {
-                let mult = 1u64 << attempt.min(20);
-                SimTime::from_nanos(base.as_nanos().saturating_mul(mult).min(cap.as_nanos()))
-            }
-        }
-    }
-}
-
-/// Route one received datagram: file it under its xid's slot (first
-/// arrival wins) or recycle it into the pool as stale. Free function so
-/// the batch exchange can route from several borrow contexts (the main
-/// drain loop and the paced-resend gaps).
-fn accept_reply(
-    pool: &BufPool,
-    xids: &[u32],
-    replies: &mut [Option<Vec<u8>>],
-    outstanding: &mut usize,
-    reply: Vec<u8>,
-) {
-    let slot = if reply.len() >= 4 {
-        let rx = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-        xids.iter().position(|&x| x == rx)
-    } else {
-        None
-    };
-    match slot {
-        Some(i) if replies[i].is_none() => {
-            replies[i] = Some(reply);
-            *outstanding -= 1;
-        }
-        // Stale: a duplicate of a completed call or an alien xid — its
-        // buffer feeds the pool.
-        _ => pool.put(reply),
-    }
-}
-
-/// [`accept_reply`] for a raw datagram that may be a coalesced reply
-/// envelope (the server packs several sub-replies into one datagram when
-/// the request arrived coalesced): when `unpack` is set and the datagram
-/// parses as an envelope, each sub-reply is copied into a pooled buffer
-/// and routed individually; otherwise the datagram is one plain reply.
-fn accept_datagram(
-    pool: &BufPool,
-    unpack: bool,
-    xids: &[u32],
-    replies: &mut [Option<Vec<u8>>],
-    outstanding: &mut usize,
-    dg: Vec<u8>,
-) {
-    if unpack {
-        if let Some(parts) = coalesce::split(&dg) {
-            for (bytes, _oneway) in parts {
-                let mut sub = pool.take(bytes.len());
-                sub.extend_from_slice(bytes);
-                accept_reply(pool, xids, replies, outstanding, sub);
-            }
-            pool.put(dg);
-            return;
-        }
-    }
-    accept_reply(pool, xids, replies, outstanding, dg);
+/// One call or batch in flight: the engine plus the client's state.
+struct Flight<S> {
+    ex: Exchange<S>,
+    /// A lone call sealed into the pending one-way envelope: the image
+    /// its slot (re)transmits instead of the plain request.
+    sealed: Option<Vec<u8>>,
+    /// The failover walk: the replica the call began on, and the steps
+    /// taken around the ring since (see [`ClntUdp::next_replica`]).
+    walk: (usize, usize),
 }
 
 /// A UDP RPC client handle (the `CLIENT` of the original API).
@@ -160,15 +83,16 @@ pub struct ClntUdp {
     /// buffer, and consumed replies are recycled back. Shareable across
     /// clients and with the serving side.
     pool: Arc<BufPool>,
-    /// Reusable swap buffer for bulk reply draining in
-    /// [`ClntUdp::exchange_batch`].
-    drain_buf: std::collections::VecDeque<specrpc_netsim::net::Datagram>,
+    /// Reusable swap buffer for bulk reply draining in batches.
+    drain_buf: VecDeque<Datagram>,
     /// MTU-aware one-way coalescing state (`None` = classic one datagram
     /// per call, byte- and time-identical to the pre-coalescing client).
     coalescer: Option<CallCoalescer>,
-    /// Sub-replies unpacked from a coalesced reply envelope, awaiting
-    /// pickup by the receive paths in arrival order.
-    rx_pending: std::collections::VecDeque<Vec<u8>>,
+    /// Received reply messages (coalesced reply envelopes unpacked into
+    /// pooled per-reply buffers), awaiting the engine in arrival order.
+    rx_pending: VecDeque<Vec<u8>>,
+    /// The batch the nonblocking lane started ([`Transport::start_batch`]).
+    inflight: Option<Flight<Vec<Slot>>>,
 }
 
 impl ClntUdp {
@@ -204,17 +128,18 @@ impl ClntUdp {
             counts: OpCounts::new(),
             retransmits: 0,
             pool,
-            drain_buf: std::collections::VecDeque::new(),
+            drain_buf: VecDeque::new(),
             coalescer: None,
-            rx_pending: std::collections::VecDeque::new(),
+            rx_pending: VecDeque::new(),
+            inflight: None,
         }
     }
 
     /// Enable MTU-aware coalescing and Sun-style one-way batching (see
     /// [`crate::CoalescePolicy`] and [`Transport::call_oneway`]): queued
     /// one-way calls pack into envelopes up to `policy.mtu`, flushed by
-    /// MTU fill, the linger bound, or the next synchronous call — whose
-    /// reply acknowledges the pipeline.
+    /// MTU fill, the linger bound, or the next synchronous call or batch
+    /// — whose reply acknowledges the pipeline.
     pub fn with_coalescing(mut self, policy: CoalescePolicy) -> Self {
         self.coalescer = Some(CallCoalescer::new(policy));
         self
@@ -230,16 +155,6 @@ impl ClntUdp {
         &self.pool
     }
 
-    /// Program number this client targets.
-    pub fn prog(&self) -> u32 {
-        self.prog
-    }
-
-    /// Version number this client targets.
-    pub fn vers(&self) -> u32 {
-        self.vers
-    }
-
     /// Allocate the next transaction id.
     pub fn next_xid(&mut self) -> u32 {
         self.xids.next_xid()
@@ -249,9 +164,9 @@ impl ClntUdp {
     /// `[server, backups...]` (the address given at create time stays the
     /// primary), each guarded by its own [`CircuitBreaker`]. When the
     /// active replica's breaker is open, or an attempt on it ends in
-    /// [`RpcError::TimedOut`] / [`RpcError::GaveUp`], the call moves to
-    /// the next replica (sticky: later calls start from the survivor).
-    /// With every breaker open the call fails fast with
+    /// [`RpcError::TimedOut`] / [`RpcError::GaveUp`], the call or batch
+    /// moves to the next replica (sticky: later calls start from the
+    /// survivor). With every breaker open the call fails fast with
     /// [`RpcError::HostDown`] — no datagram is sent.
     pub fn with_replicas(mut self, backups: &[Addr]) -> Self {
         let primary = self.sock.peer_addr();
@@ -296,13 +211,7 @@ impl ClntUdp {
     /// when the linger bound has passed or the sub-message would not fit
     /// under the MTU. Requires coalescing to be enabled.
     fn queue_oneway(&mut self, request: &[u8], xid: u32) {
-        debug_assert!(request.len() >= 4);
-        debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
-            "request must start with its xid"
-        );
-        let _ = xid;
+        debug_assert_eq!(request.first_chunk(), Some(&xid.to_be_bytes()));
         let now = self.sock.now();
         let (linger_due, mtu_over) = {
             let c = self.coalescer.as_ref().expect("coalescing enabled");
@@ -385,71 +294,48 @@ impl ClntUdp {
         }
     }
 
-    /// File one received datagram into `rx_pending`, unpacking coalesced
-    /// reply envelopes into pooled per-reply buffers when coalescing is
-    /// enabled (a client that never coalesces never receives envelopes).
-    fn enqueue_reply(&mut self, dg: Vec<u8>) {
-        if self.coalescer.is_some() {
+    /// Copy `image` into a pooled datagram and send it to the replica.
+    fn send_copy(&self, image: &[u8]) {
+        let mut dg = self.pool.take(image.len());
+        dg.extend_from_slice(image);
+        self.sock.send(dg);
+    }
+
+    /// File one received datagram into `rx_pending`, unpacking a
+    /// coalesced reply envelope into pooled per-reply buffers when
+    /// coalescing is enabled (a client that never coalesces never
+    /// receives envelopes). The one receive path of every exchange.
+    fn unpack(pool: &BufPool, coalescing: bool, rx_pending: &mut VecDeque<Vec<u8>>, dg: Vec<u8>) {
+        if coalescing {
             if let Some(parts) = coalesce::split(&dg) {
                 for (bytes, _oneway) in parts {
-                    let mut sub = self.pool.take(bytes.len());
+                    let mut sub = pool.take(bytes.len());
                     sub.extend_from_slice(bytes);
-                    self.rx_pending.push_back(sub);
+                    rx_pending.push_back(sub);
                 }
-                self.pool.put(dg);
+                pool.put(dg);
                 return;
             }
         }
-        self.rx_pending.push_back(dg);
+        rx_pending.push_back(dg);
     }
 
-    /// Next reply message within `timeout`: unpacked sub-replies first,
-    /// then the socket.
-    fn next_reply(&mut self, timeout: SimTime) -> Option<Vec<u8>> {
-        if let Some(r) = self.rx_pending.pop_front() {
-            return Some(r);
-        }
-        let dg = self.sock.recv(timeout)?;
-        self.enqueue_reply(dg);
-        self.rx_pending.pop_front()
-    }
-
-    /// Nonblocking [`ClntUdp::next_reply`].
-    fn next_reply_nonblocking(&mut self) -> Option<Vec<u8>> {
-        if let Some(r) = self.rx_pending.pop_front() {
-            return Some(r);
-        }
-        let dg = self.sock.try_recv()?;
-        self.enqueue_reply(dg);
-        self.rx_pending.pop_front()
-    }
-
-    /// Raw transaction: send `request` (whose first word must be `xid`),
-    /// retransmit on per-try timeout, and return the first reply datagram
-    /// whose xid matches. This is the path shared by the generic and
-    /// specialized clients — specialization replaces marshaling, not
-    /// transaction management.
-    ///
-    /// The request stays in the caller's (rewindable) buffer: each
-    /// transmission — first try and retransmissions alike — copies it into
-    /// a pooled datagram buffer rather than cloning a fresh `Vec`, and
-    /// stale replies are recycled straight back into the pool, so a
-    /// retransmitting call performs no steady-state allocation.
-    pub fn exchange(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
-        if self.replicas.is_empty() {
-            return self.exchange_current(request, xid);
-        }
-        // Failover path: walk the replica ring starting from the sticky
-        // active index, skipping breaker-open hosts. An attempt that ends
-        // in TimedOut/GaveUp feeds its breaker and moves on; any reply
-        // (even a server-side error decoded upstream) is liveness and
-        // closes the breaker.
+    /// Advance the failover walk to the next replica whose breaker admits
+    /// a call, retargeting the socket; `false` once the walk has gone
+    /// round the ring. Without replicas the walk is one step, on the
+    /// socket's own peer. Step `k` looks at replica `(start + k) % n`, so
+    /// every replica gets its turn.
+    fn next_replica(&mut self, walk: &mut (usize, usize)) -> bool {
+        let (start, steps) = walk;
         let n = self.replicas.len();
-        let mut last_err = None;
-        for k in 0..n {
-            let idx = (self.active + k) % n;
-            let now = self.sock.now();
-            if !self.breakers[idx].allow(now) {
+        if n == 0 {
+            *steps += 1;
+            return *steps == 1;
+        }
+        while *steps < n {
+            let idx = (*start + *steps) % n;
+            *steps += 1;
+            if !self.breakers[idx].allow(self.sock.now()) {
                 continue;
             }
             if idx != self.active {
@@ -457,124 +343,211 @@ impl ClntUdp {
                 self.active = idx;
                 self.failovers += 1;
             }
-            match self.exchange_current(request, xid) {
-                Ok(reply) => {
-                    self.breakers[idx].on_success();
-                    return Ok(reply);
-                }
-                Err(e @ (RpcError::TimedOut | RpcError::GaveUp { .. })) => {
-                    let now = self.sock.now();
-                    self.breakers[idx].on_failure(now);
-                    last_err = Some(e);
-                }
-                Err(other) => return Err(other),
-            }
+            return true;
         }
-        // Every admitted replica failed this round, or every breaker was
-        // open and nothing was even sent.
-        match last_err {
-            Some(e) => Err(e),
-            None => Err(RpcError::HostDown(format!(
-                "all {n} replicas refused by open circuit breakers"
-            ))),
-        }
+        false
     }
 
-    /// One [`ClntUdp::exchange`] attempt against the currently targeted
-    /// replica: retransmit on per-try timeout under the clamped total
-    /// deadline and the retry budget.
-    fn exchange_current(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
-        debug_assert!(request.len() >= 4);
-        debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
-            "request must start with its xid"
-        );
-        // Batch mode: pending one-ways seal into the same envelope as
-        // this call when they fit (one datagram carries the pipeline),
-        // or flush ahead of it when they don't. Either way this call's
-        // reply acknowledges every envelope in the window.
-        let mut sealed = self.seal_with_pending(request);
-        let start = self.sock.now();
+    /// Start an exchange of `slots` on the first replica a breaker admits
+    /// (none: [`RpcError::HostDown`], nothing sent), carrying every queued
+    /// one-way ahead of it: sealed with a lone call when they fit one
+    /// envelope, flushed on their own otherwise.
+    fn launch<S: AsRef<[Slot]> + AsMut<[Slot]>>(
+        &mut self,
+        slots: S,
+        requests: &[&[u8]],
+    ) -> Result<Flight<S>, RpcError> {
+        let mut walk = (self.active, 0);
+        if !self.next_replica(&mut walk) {
+            return Err(RpcError::HostDown(format!(
+                "all {} replicas refused by open circuit breakers",
+                self.replicas.len()
+            )));
+        }
+        let sealed = match requests {
+            [request] => self.seal_with_pending(request),
+            _ => {
+                self.flush_pending_oneways(FlushReason::Sync);
+                None
+            }
+        };
         let total = self
             .call_deadline
             .map_or(self.total_timeout, |d| d.min(self.total_timeout));
-        let total_deadline = start + total;
-        let mut attempt = 0u32;
-        loop {
-            if attempt > 0 {
-                // Replay unacknowledged one-way envelopes ahead of the
-                // retransmitted call: a lost batch reaches the server
-                // after all, and a delivered one is absorbed sub-message
-                // by sub-message in the duplicate-request cache.
-                if let Some(c) = &self.coalescer {
-                    for env in &c.window {
-                        let mut dg = self.pool.take(env.len());
-                        dg.extend_from_slice(env);
-                        self.sock.send(dg);
+        let schedule = Schedule {
+            retry_timeout: self.retry_timeout,
+            total,
+            policy: self.retry_policy,
+            budget: self.retry_budget,
+        };
+        Ok(Flight {
+            ex: Exchange::new(slots, schedule, self.sock.now()),
+            sealed,
+            walk,
+        })
+    }
+
+    /// Drive `flight` until it completes — or, when `block` is false,
+    /// until it would have to wait for the network (`None`): nonblocking
+    /// waits only collect what has already arrived.
+    fn drive<S: AsRef<[Slot]> + AsMut<[Slot]>>(
+        &mut self,
+        flight: &mut Flight<S>,
+        requests: &[&[u8]],
+        block: bool,
+    ) -> Option<Result<(), RpcError>> {
+        // Sending does not move the virtual clock; receiving does, so the
+        // clock is read again only after a receive.
+        let mut now = self.sock.now();
+        let done = loop {
+            match flight.ex.poll(now) {
+                Step::Burst => self.burst(flight, requests),
+                Step::Retry => {
+                    // Replay unacknowledged one-way envelopes ahead of the
+                    // resends: a lost batch reaches the server after all,
+                    // and a delivered one is absorbed sub-message by
+                    // sub-message in the duplicate-request cache.
+                    if let Some(c) = &self.coalescer {
+                        for env in &c.window {
+                            self.send_copy(env);
+                        }
+                        self.retransmits += c.window.len() as u64;
                     }
-                    self.retransmits += c.window.len() as u64;
                 }
-            }
-            {
-                let image: &[u8] = sealed.as_deref().unwrap_or(request);
-                let mut dg = self.pool.take(image.len());
-                dg.extend_from_slice(image);
-                self.sock.send(dg);
-            }
-            // Drain replies until the per-try deadline passes (recv
-            // returning None), then retransmit. Both deadlines are held in
-            // virtual time, so stale-xid replies are charged for the time
-            // they actually consumed waiting — not a token decrement. The
-            // per-try deadline is clamped to the total deadline so the
-            // last try cannot overshoot the promised bound.
-            let try_deadline = (self.sock.now()
-                + self.retry_policy.try_timeout(self.retry_timeout, attempt))
-            .min(total_deadline);
-            loop {
-                let now = self.sock.now();
-                if now >= try_deadline {
-                    break;
+                Step::Resend(i) => {
+                    self.send_copy(flight.sealed.as_deref().unwrap_or(requests[i]));
+                    self.retransmits += 1;
                 }
-                let Some(reply) = self.next_reply(try_deadline - now) else {
-                    break; // per-try timeout: retransmit
-                };
-                if reply.len() >= 4
-                    && u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]) == xid
-                {
-                    // Pipeline acknowledged: the matched reply proves the
-                    // server saw everything sent ahead of this call.
+                Step::Wait(until) => {
+                    let coalescing = self.coalescer.is_some();
+                    if block {
+                        let got = self.sock.recv(until - now);
+                        now = self.sock.now();
+                        // Per-try timeout: `None` here, the next poll
+                        // retransmits.
+                        let Some(dg) = got else {
+                            continue;
+                        };
+                        Self::unpack(&self.pool, coalescing, &mut self.rx_pending, dg);
+                        if requests.len() > 1 {
+                            // Bulk-drain whatever else the pipeline has
+                            // already delivered: one mailbox lock for the
+                            // burst instead of a receive round per reply.
+                            let mut buf = std::mem::take(&mut self.drain_buf);
+                            self.sock.drain_ready(&mut buf, |dg| {
+                                Self::unpack(&self.pool, coalescing, &mut self.rx_pending, dg)
+                            });
+                            self.drain_buf = buf;
+                        }
+                    } else {
+                        let mut got = false;
+                        while let Some(dg) = self.sock.try_recv() {
+                            Self::unpack(&self.pool, coalescing, &mut self.rx_pending, dg);
+                            got = true;
+                        }
+                        if !got {
+                            return None;
+                        }
+                        now = self.sock.now();
+                    }
+                    while let Some(reply) = self.rx_pending.pop_front() {
+                        if let Some(stale) = flight.ex.on_reply(reply) {
+                            // A late reply to a retransmitted call, or a
+                            // duplicate: its buffer feeds the pool.
+                            self.pool.put(stale);
+                        }
+                    }
+                }
+                Step::Done => {
+                    // Pipeline acknowledged: the replies prove the server
+                    // saw everything sent ahead of this exchange.
                     if let Some(c) = self.coalescer.as_mut() {
-                        while let Some(env) = c.window.pop() {
+                        for env in c.window.drain(..) {
                             self.pool.put(env);
                         }
                     }
-                    if let Some(img) = sealed.take() {
-                        self.pool.put(img);
+                    if !self.replicas.is_empty() {
+                        // Any reply (even a server-side error decoded
+                        // upstream) is liveness.
+                        self.breakers[self.active].on_success();
                     }
-                    return Ok(reply);
+                    break Ok(());
                 }
-                // Stale xid (a late reply to a retransmitted call): its
-                // buffer feeds the pool; keep waiting out this try.
-                self.pool.put(reply);
-            }
-            if self.sock.now() >= total_deadline {
-                if let Some(img) = sealed.take() {
-                    self.pool.put(img);
-                }
-                return Err(RpcError::TimedOut);
-            }
-            if let Some(budget) = self.retry_budget {
-                if attempt >= budget {
-                    if let Some(img) = sealed.take() {
-                        self.pool.put(img);
+                Step::Failed(e) => {
+                    if !self.replicas.is_empty() {
+                        self.breakers[self.active].on_failure(now);
                     }
-                    return Err(RpcError::GaveUp { tries: attempt + 1 });
+                    if self.next_replica(&mut flight.walk) {
+                        flight.ex.restart(now);
+                        continue;
+                    }
+                    break Err(e);
                 }
             }
-            self.retransmits += 1;
-            attempt += 1;
+        };
+        if let Some(img) = flight.sealed.take() {
+            self.pool.put(img);
         }
+        Some(done)
+    }
+
+    /// The first transmission of an attempt: a lone call's sealed
+    /// envelope, or every unanswered slot — packed into ≤MTU envelopes
+    /// (sub-replies come back coalesced) when a coalescing client sends
+    /// several, one plain datagram each otherwise. Resends always go plain
+    /// per message, so a lost envelope never resends answered calls.
+    fn burst<S: AsRef<[Slot]> + AsMut<[Slot]>>(&self, flight: &Flight<S>, requests: &[&[u8]]) {
+        if let Some(img) = &flight.sealed {
+            self.send_copy(img);
+            return;
+        }
+        let mtu = match &self.coalescer {
+            Some(c) if requests.len() > 1 => c.policy.mtu,
+            _ => 0,
+        };
+        let mut env: Option<Vec<u8>> = None;
+        for i in flight.ex.unanswered() {
+            let r = requests[i];
+            let pushed = coalesce::pushed_len(r.len());
+            if coalesce::ENVELOPE_HEADER_BYTES + pushed > mtu {
+                // Too big for any envelope (or not packing): goes plain.
+                self.send_copy(r);
+                continue;
+            }
+            if env.as_ref().is_some_and(|e| e.len() + pushed > mtu) {
+                self.sock.send(env.take().expect("checked above"));
+            }
+            let e = env.get_or_insert_with(|| {
+                let mut e = self.pool.take(coalesce::ENVELOPE_HEADER_BYTES);
+                coalesce::begin(&mut e);
+                e
+            });
+            coalesce::push(e, r, false);
+        }
+        if let Some(e) = env {
+            self.sock.send(e);
+        }
+    }
+
+    /// Raw transaction, a batch of one: send `request` (whose first word
+    /// must be `xid`), retransmit on per-try timeout, and return the first
+    /// reply whose xid matches. The generic and specialized clients share
+    /// it — specialization replaces marshaling, not transaction
+    /// management.
+    ///
+    /// The request stays in the caller's (rewindable) buffer: each
+    /// transmission — first try and retransmissions alike — copies it into
+    /// a pooled datagram buffer rather than cloning a fresh `Vec`, and
+    /// stale replies are recycled straight back into the pool, so a
+    /// retransmitting call performs no steady-state allocation.
+    pub fn exchange(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
+        debug_assert_eq!(request.first_chunk(), Some(&xid.to_be_bytes()));
+        let requests = [request];
+        let mut flight = self.launch([Slot::new(xid)], &requests)?;
+        let done = self.drive(&mut flight, &requests, true);
+        let [slot] = flight.ex.into_slots();
+        done.expect("a blocking drive runs to completion")
+            .map(|()| slot.reply.expect("the slot was answered"))
     }
 
     /// Pipelined batch of [`ClntUdp::exchange`]s: transmit **every**
@@ -582,14 +555,11 @@ impl ClntUdp {
     /// xid as they arrive (in any order), and return them in submission
     /// order. On a per-try timeout every still-outstanding request is
     /// retransmitted (each counted in `retransmits`); the total timeout
-    /// bounds the whole batch.
+    /// bounds the whole batch, and failover moves it like a single call.
     ///
-    /// The N-1 overlapped round trips are where batching wins: wire
-    /// latency and server dispatch for calls `1..N` overlap call `0`'s
-    /// wait, so the fixed per-call overhead amortizes across the batch.
-    /// Like [`ClntUdp::exchange`], every transmission copies the
-    /// caller's request image into a pooled datagram and consumed stale
-    /// replies recycle straight back, so a warm batch allocates nothing.
+    /// Wire latency and server dispatch for calls `1..N` overlap call
+    /// `0`'s wait, so the fixed per-call overhead amortizes across the
+    /// batch; like [`ClntUdp::exchange`], a warm batch allocates nothing.
     ///
     /// # Panics
     /// Panics if `requests` and `xids` have different lengths.
@@ -598,167 +568,31 @@ impl ClntUdp {
         requests: &[&[u8]],
         xids: &[u32],
     ) -> Result<Vec<Vec<u8>>, RpcError> {
+        let Some(mut flight) = self.launch_batch(requests, xids)? else {
+            return Ok(Vec::new());
+        };
+        let done = self.drive(&mut flight, requests, true);
+        let slots = flight.ex.into_slots();
+        exchange::replies(
+            slots,
+            done.expect("a blocking drive runs to completion"),
+            &self.pool,
+        )
+    }
+
+    /// [`ClntUdp::launch`] over one slot per request (`None` for an empty
+    /// batch, which sends nothing).
+    fn launch_batch(
+        &mut self,
+        requests: &[&[u8]],
+        xids: &[u32],
+    ) -> Result<Option<Flight<Vec<Slot>>>, RpcError> {
         assert_eq!(requests.len(), xids.len(), "one xid per request");
         if requests.is_empty() {
-            return Ok(Vec::new());
+            return Ok(None);
         }
-        for (r, &xid) in requests.iter().zip(xids) {
-            debug_assert!(r.len() >= 4);
-            debug_assert_eq!(
-                u32::from_be_bytes([r[0], r[1], r[2], r[3]]),
-                xid,
-                "each request must start with its xid"
-            );
-        }
-        let start = self.sock.now();
-        let total = self
-            .call_deadline
-            .map_or(self.total_timeout, |d| d.min(self.total_timeout));
-        let total_deadline = start + total;
-        let unpack = self.coalescer.is_some();
-        let mut replies: Vec<Option<Vec<u8>>> = (0..requests.len()).map(|_| None).collect();
-        let mut outstanding = requests.len();
-        let mut first_try = true;
-        let mut attempt = 0u32;
-        let mut skip_transmit = false;
-        if let Some(c) = &self.coalescer {
-            // Coalesced initial burst: pack the batch into ≤MTU
-            // envelopes (every sub-message reply-expected), so the
-            // per-datagram cost amortizes across the pipeline. The
-            // server coalesces the matching sub-replies on the return
-            // path. Straggler retransmissions below fall back to plain
-            // per-message datagrams — a lost envelope must not resend
-            // sub-messages that were already answered.
-            let mtu = c.policy.mtu;
-            let mut env = self.pool.take(coalesce::ENVELOPE_HEADER_BYTES);
-            coalesce::begin(&mut env);
-            for r in requests {
-                let fits_alone =
-                    coalesce::ENVELOPE_HEADER_BYTES + coalesce::pushed_len(r.len()) <= mtu;
-                if !fits_alone {
-                    // Too big for any envelope (or MTU 0, the per-call
-                    // baseline): this request goes plain.
-                    let mut dg = self.pool.take(r.len());
-                    dg.extend_from_slice(r);
-                    self.sock.send(dg);
-                    continue;
-                }
-                if coalesce::count(&env) > 0 && env.len() + coalesce::pushed_len(r.len()) > mtu {
-                    let mut fresh = self.pool.take(coalesce::ENVELOPE_HEADER_BYTES);
-                    coalesce::begin(&mut fresh);
-                    self.sock.send(std::mem::replace(&mut env, fresh));
-                }
-                coalesce::push(&mut env, r, false);
-            }
-            if coalesce::count(&env) > 0 {
-                self.sock.send(env);
-            } else {
-                self.pool.put(env);
-            }
-            skip_transmit = true;
-            first_try = false;
-        }
-        loop {
-            // (Re)transmit every request still awaiting its reply. A
-            // paced policy spaces the resends of a retry round `gap`
-            // apart in virtual time, draining replies that land inside
-            // each gap — a straggler answered mid-pace is not resent.
-            if skip_transmit {
-                skip_transmit = false;
-            } else {
-                let pace = match self.retry_policy {
-                    RetryPolicy::Paced { gap } if !first_try => Some(gap),
-                    _ => None,
-                };
-                let mut sent_any = false;
-                for i in 0..requests.len() {
-                    if replies[i].is_some() {
-                        continue;
-                    }
-                    if let (Some(gap), true) = (pace, sent_any) {
-                        let pace_deadline = self.sock.now() + gap;
-                        loop {
-                            let now = self.sock.now();
-                            if now >= pace_deadline || outstanding == 0 {
-                                break;
-                            }
-                            match self.sock.recv(pace_deadline - now) {
-                                Some(reply) => accept_datagram(
-                                    &self.pool,
-                                    unpack,
-                                    xids,
-                                    &mut replies,
-                                    &mut outstanding,
-                                    reply,
-                                ),
-                                None => break,
-                            }
-                        }
-                        if replies[i].is_some() {
-                            continue;
-                        }
-                    }
-                    let r = requests[i];
-                    let mut dg = self.pool.take(r.len());
-                    dg.extend_from_slice(r);
-                    self.sock.send(dg);
-                    if !first_try {
-                        self.retransmits += 1;
-                    }
-                    sent_any = true;
-                }
-                first_try = false;
-            }
-            // Clamped to the total deadline so the last retry round cannot
-            // overshoot the promised bound (same fix as `exchange`).
-            let try_deadline = (self.sock.now()
-                + self.retry_policy.try_timeout(self.retry_timeout, attempt))
-            .min(total_deadline);
-            while outstanding > 0 {
-                let now = self.sock.now();
-                if now >= try_deadline {
-                    break;
-                }
-                let Some(reply) = self.sock.recv(try_deadline - now) else {
-                    break; // per-try timeout: retransmit the stragglers
-                };
-                accept_datagram(
-                    &self.pool,
-                    unpack,
-                    xids,
-                    &mut replies,
-                    &mut outstanding,
-                    reply,
-                );
-                // Bulk-drain whatever else the pipeline has already
-                // delivered: one mailbox lock for the burst instead of a
-                // full receive round per reply.
-                let mut buf = std::mem::take(&mut self.drain_buf);
-                self.sock.drain_ready(&mut buf, &mut |r| {
-                    accept_datagram(&self.pool, unpack, xids, &mut replies, &mut outstanding, r)
-                });
-                self.drain_buf = buf;
-            }
-            if outstanding == 0 {
-                return Ok(replies.into_iter().map(|r| r.expect("filled")).collect());
-            }
-            let gave_up = self.retry_budget.is_some_and(|b| attempt >= b);
-            if self.sock.now() >= total_deadline || gave_up {
-                // The batch failed, but the replies that did arrive are
-                // pooled buffers — feed them back instead of dropping
-                // them (a dropped buffer resurfaces as an allocating
-                // miss on the next batch).
-                for reply in replies.into_iter().flatten() {
-                    self.pool.put(reply);
-                }
-                return Err(if gave_up {
-                    RpcError::GaveUp { tries: attempt + 1 }
-                } else {
-                    RpcError::TimedOut
-                });
-            }
-            attempt += 1;
-        }
+        let slots = xids.iter().map(|&xid| Slot::new(xid)).collect();
+        self.launch(slots, requests).map(Some)
     }
 
     /// `clnt_call`: the generic path. Marshals the call header and the
@@ -813,55 +647,32 @@ impl Transport for ClntUdp {
         self.exchange_batch(requests, xids)
     }
 
-    fn batch_mode(&self) -> crate::transport::BatchMode {
-        crate::transport::BatchMode::Pipelined
-    }
-
-    fn try_exchange(&mut self, request: &[u8], xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        self.send_request(request, xid)?;
-        self.poll_reply(xid)
-    }
-
-    fn poll_reply(&mut self, xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        while let Some(reply) = self.next_reply_nonblocking() {
-            if reply.len() >= 4
-                && u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]) == xid
-            {
-                return Ok(Some(reply));
-            }
-            self.pool.put(reply);
+    fn start_batch(
+        &mut self,
+        requests: &[&[u8]],
+        xids: &[u32],
+    ) -> Result<Option<Vec<Vec<u8>>>, RpcError> {
+        // Abandon any batch still in flight: its late replies arrive as
+        // stale ones.
+        self.inflight = None;
+        self.inflight = self.launch_batch(requests, xids)?;
+        match self.inflight {
+            None => Ok(Some(Vec::new())),
+            Some(_) => self.poll_batch(requests),
         }
-        Ok(None)
     }
 
-    fn nonblocking(&self) -> bool {
-        true
-    }
-
-    fn send_request(&mut self, request: &[u8], xid: u32) -> Result<(), RpcError> {
-        debug_assert!(request.len() >= 4);
-        debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
-            "request must start with its xid"
-        );
-        let mut dg = self.pool.take(request.len());
-        dg.extend_from_slice(request);
-        self.sock.send(dg);
-        Ok(())
-    }
-
-    fn poll_reply_any(&mut self, xids: &[u32]) -> Result<Option<(usize, Vec<u8>)>, RpcError> {
-        while let Some(reply) = self.next_reply_nonblocking() {
-            if reply.len() >= 4 {
-                let rx = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-                if let Some(i) = xids.iter().position(|&x| x == rx) {
-                    return Ok(Some((i, reply)));
-                }
+    fn poll_batch(&mut self, requests: &[&[u8]]) -> Result<Option<Vec<Vec<u8>>>, RpcError> {
+        let Some(mut flight) = self.inflight.take() else {
+            return Err(RpcError::Transport("no batch in flight".into()));
+        };
+        match self.drive(&mut flight, requests, false) {
+            None => {
+                self.inflight = Some(flight);
+                Ok(None)
             }
-            self.pool.put(reply);
+            Some(done) => exchange::replies(flight.ex.into_slots(), done, &self.pool).map(Some),
         }
-        Ok(None)
     }
 
     fn call_oneway(&mut self, request: &[u8], xid: u32) -> Result<(), RpcError> {
@@ -924,6 +735,34 @@ mod tests {
         let _ = faults;
         serve_udp(net, 111 + 900, Arc::new(sum_service()), None);
         ClntUdp::create(net, 5000, 111 + 900, PROG, 1)
+    }
+
+    fn encode_sum(clnt: &mut ClntUdp, vals: &[i32]) -> (Vec<u8>, u32) {
+        let xid = clnt.next_xid();
+        let mut enc = XdrMem::encoder(256);
+        let mut msg = CallHeader::new(xid, PROG, 1, 1);
+        CallHeader::xdr(&mut enc, &mut msg).unwrap();
+        let mut v = vals.to_vec();
+        xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
+        (enc.into_bytes(), xid)
+    }
+
+    /// `count` SUM requests, request `i` adding up `vals(i)`.
+    fn batch_of(
+        clnt: &mut ClntUdp,
+        count: i32,
+        vals: impl Fn(i32) -> Vec<i32>,
+    ) -> (Vec<Vec<u8>>, Vec<u32>) {
+        (0..count).map(|i| encode_sum(clnt, &vals(i))).unzip()
+    }
+
+    /// The xid and the sum a SUM reply carries.
+    fn decode_sum(reply: &[u8]) -> (u32, i32) {
+        let mut dec = XdrMem::decoder(reply);
+        let hdr = ReplyHeader::decode(&mut dec).unwrap();
+        let mut sum = 0i32;
+        xdr_int(&mut dec, &mut sum).unwrap();
+        (hdr.xid, sum)
     }
 
     #[test]
@@ -1042,27 +881,13 @@ mod tests {
     fn batch_replies_come_back_in_submission_order() {
         let net = Network::new(NetworkConfig::lan(), 3);
         let mut clnt = start(&net, false);
-        let mut requests = Vec::new();
-        let mut xids = Vec::new();
-        for i in 0..5i32 {
-            let xid = clnt.next_xid();
-            let mut enc = XdrMem::encoder(256);
-            let mut msg = CallHeader::new(xid, PROG, 1, 1);
-            CallHeader::xdr(&mut enc, &mut msg).unwrap();
-            let mut v = vec![i; 3];
-            xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
-            requests.push(enc.into_bytes());
-            xids.push(xid);
-        }
+        let (requests, xids) = batch_of(&mut clnt, 5, |i| vec![i; 3]);
         let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
         let replies = clnt.exchange_batch(&refs, &xids).unwrap();
         assert_eq!(replies.len(), 5);
         for (i, reply) in replies.iter().enumerate() {
-            let mut dec = XdrMem::decoder(reply);
-            let hdr = ReplyHeader::decode(&mut dec).unwrap();
-            assert_eq!(hdr.xid, xids[i], "submission order preserved");
-            let mut sum = 0i32;
-            xdr_int(&mut dec, &mut sum).unwrap();
+            let (xid, sum) = decode_sum(reply);
+            assert_eq!(xid, xids[i], "submission order preserved");
             assert_eq!(sum, i as i32 * 3);
         }
         assert_eq!(clnt.retransmits, 0);
@@ -1081,24 +906,11 @@ mod tests {
         let mut clnt = start(&net, true);
         clnt.retry_timeout = SimTime::from_millis(20);
         clnt.total_timeout = SimTime::from_millis(10_000);
-        let mut requests = Vec::new();
-        let mut xids = Vec::new();
-        for i in 0..8i32 {
-            let xid = clnt.next_xid();
-            let mut enc = XdrMem::encoder(256);
-            let mut msg = CallHeader::new(xid, PROG, 1, 1);
-            CallHeader::xdr(&mut enc, &mut msg).unwrap();
-            let mut v = vec![i, i];
-            xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
-            requests.push(enc.into_bytes());
-            xids.push(xid);
-        }
+        let (requests, xids) = batch_of(&mut clnt, 8, |i| vec![i, i]);
         let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
         let replies = clnt.exchange_batch(&refs, &xids).unwrap();
         for (i, reply) in replies.iter().enumerate() {
-            let mut dec = XdrMem::decoder(reply);
-            let hdr = ReplyHeader::decode(&mut dec).unwrap();
-            assert_eq!(hdr.xid, xids[i]);
+            assert_eq!(decode_sum(reply).0, xids[i]);
         }
         assert!(clnt.retransmits > 0, "loss must have forced retries");
         assert!(
@@ -1144,26 +956,12 @@ mod tests {
         clnt.retry_policy = RetryPolicy::Paced {
             gap: SimTime::from_micros(500),
         };
-        let mut requests = Vec::new();
-        let mut xids = Vec::new();
-        for i in 0..8i32 {
-            let xid = clnt.next_xid();
-            let mut enc = XdrMem::encoder(256);
-            let mut msg = CallHeader::new(xid, PROG, 1, 1);
-            CallHeader::xdr(&mut enc, &mut msg).unwrap();
-            let mut v = vec![i, i, i];
-            xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
-            requests.push(enc.into_bytes());
-            xids.push(xid);
-        }
+        let (requests, xids) = batch_of(&mut clnt, 8, |i| vec![i, i, i]);
         let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
         let replies = clnt.exchange_batch(&refs, &xids).unwrap();
         for (i, reply) in replies.iter().enumerate() {
-            let mut dec = XdrMem::decoder(reply);
-            let hdr = ReplyHeader::decode(&mut dec).unwrap();
-            assert_eq!(hdr.xid, xids[i], "submission order preserved");
-            let mut sum = 0i32;
-            xdr_int(&mut dec, &mut sum).unwrap();
+            let (xid, sum) = decode_sum(reply);
+            assert_eq!(xid, xids[i], "submission order preserved");
             assert_eq!(sum, i as i32 * 3);
         }
         assert!(clnt.retransmits > 0, "loss must have forced paced retries");
@@ -1181,25 +979,18 @@ mod tests {
 
     #[test]
     fn try_exchange_completes_after_the_network_runs() {
-        use crate::transport::Transport;
         let net = Network::new(NetworkConfig::lan(), 3);
         let mut clnt = start(&net, false);
-        let xid = Transport::next_xid(&mut clnt);
-        let mut enc = XdrMem::encoder(256);
-        let mut msg = CallHeader::new(xid, PROG, 1, 1);
-        CallHeader::xdr(&mut enc, &mut msg).unwrap();
-        let mut v = vec![2i32, 3];
-        xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
-        let request = enc.into_bytes();
+        let (request, xid) = encode_sum(&mut clnt, &[2, 3]);
+        let requests = [request.as_slice()];
         // The reply cannot be ready at the send instant…
-        assert!(clnt.try_exchange(&request, xid).unwrap().is_none());
-        assert!(clnt.poll_reply(xid).unwrap().is_none());
+        assert!(clnt.start_batch(&requests, &[xid]).unwrap().is_none());
+        assert!(clnt.poll_batch(&requests).unwrap().is_none());
         // …but once virtual time runs past the round trip it is.
         net.advance(SimTime::from_millis(5));
-        let reply = clnt.poll_reply(xid).unwrap().expect("ready now");
-        let mut dec = XdrMem::decoder(&reply);
-        let hdr = ReplyHeader::decode(&mut dec).unwrap();
-        assert_eq!(hdr.xid, xid);
+        let reply = clnt.poll_batch(&requests).unwrap().expect("ready now");
+        assert_eq!(clnt.retransmits, 0);
+        assert_eq!(decode_sum(&reply[0]), (xid, 5));
     }
 
     #[test]
@@ -1382,16 +1173,6 @@ mod tests {
         reg
     }
 
-    fn encode_sum(clnt: &mut ClntUdp, vals: &[i32]) -> (Vec<u8>, u32) {
-        let xid = clnt.next_xid();
-        let mut enc = XdrMem::encoder(256);
-        let mut msg = CallHeader::new(xid, PROG, 1, 1);
-        CallHeader::xdr(&mut enc, &mut msg).unwrap();
-        let mut v = vals.to_vec();
-        xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
-        (enc.into_bytes(), xid)
-    }
-
     #[test]
     fn oneway_batch_seals_into_one_datagram_with_the_sync_call() {
         use crate::coalesce::CoalescePolicy;
@@ -1408,12 +1189,7 @@ mod tests {
         assert_eq!(runs.load(Ordering::Relaxed), 0, "queued, not sent");
         let (req, xid) = encode_sum(&mut clnt, &[10, 20]);
         let reply = clnt.exchange(&req, xid).unwrap();
-        let mut dec = XdrMem::decoder(&reply);
-        let hdr = ReplyHeader::decode(&mut dec).unwrap();
-        assert_eq!(hdr.xid, xid);
-        let mut sum = 0i32;
-        xdr_int(&mut dec, &mut sum).unwrap();
-        assert_eq!(sum, 30);
+        assert_eq!(decode_sum(&reply), (xid, 30));
         assert_eq!(runs.load(Ordering::Relaxed), 4, "all four handlers ran");
         assert_eq!(
             net.link_stats().datagrams - before,
@@ -1545,21 +1321,12 @@ mod tests {
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
             .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
         let before = net.link_stats().datagrams;
-        let mut requests = Vec::new();
-        let mut xids = Vec::new();
-        for i in 0..5i32 {
-            let (req, xid) = encode_sum(&mut clnt, &[i; 3]);
-            requests.push(req);
-            xids.push(xid);
-        }
+        let (requests, xids) = batch_of(&mut clnt, 5, |i| vec![i; 3]);
         let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
         let replies = clnt.exchange_batch(&refs, &xids).unwrap();
         for (i, reply) in replies.iter().enumerate() {
-            let mut dec = XdrMem::decoder(reply);
-            let hdr = ReplyHeader::decode(&mut dec).unwrap();
-            assert_eq!(hdr.xid, xids[i], "submission order preserved");
-            let mut sum = 0i32;
-            xdr_int(&mut dec, &mut sum).unwrap();
+            let (xid, sum) = decode_sum(reply);
+            assert_eq!(xid, xids[i], "submission order preserved");
             assert_eq!(sum, i as i32 * 3);
         }
         assert_eq!(runs.load(Ordering::Relaxed), 5);
@@ -1569,6 +1336,51 @@ mod tests {
             "five calls in one request envelope, five replies in one"
         );
         assert_eq!(clnt.retransmits, 0);
+    }
+
+    #[test]
+    fn batch_carries_queued_oneways_ahead_of_itself() {
+        use crate::coalesce::CoalescePolicy;
+        // Three queued one-ways, then a two-call batch: the one-ways must
+        // reach the server before the batch and be acknowledged by it,
+        // exactly as a single sync call would carry them.
+        let net = Network::new(NetworkConfig::lan(), 3);
+        let runs = Arc::new(AtomicU64::new(0));
+        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
+            .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
+        for i in 0..3i32 {
+            let (req, xid) = encode_sum(&mut clnt, &[i]);
+            clnt.call_oneway(&req, xid).unwrap();
+        }
+        let (a, xa) = encode_sum(&mut clnt, &[1, 2]);
+        let (b, xb) = encode_sum(&mut clnt, &[3, 4]);
+        let replies = clnt.exchange_batch(&[&a, &b], &[xa, xb]).unwrap();
+        assert_eq!(replies.len(), 2);
+        assert_eq!(runs.load(Ordering::Relaxed), 5, "one-ways ran too");
+        let stats = clnt.coalesce_stats().expect("coalescing on");
+        assert_eq!(stats.pending_submessages, 0, "nothing left behind");
+        assert_eq!(stats.flushes_sync, 1, "flushed by the batch");
+        assert_eq!(stats.unacked_envelopes, 0, "the batch acked the window");
+    }
+
+    #[test]
+    fn batch_fails_over_to_a_live_backup() {
+        // Primary 999 is dead, the backup serves: a batch moves over like
+        // a single call does, instead of timing out on the primary.
+        let net = Network::new(NetworkConfig::lan(), 3);
+        let backup = 111 + 900;
+        serve_udp(&net, backup, Arc::new(sum_service()), None);
+        let mut clnt = ClntUdp::create(&net, 5000, 999, PROG, 1).with_replicas(&[backup]);
+        clnt.retry_timeout = SimTime::from_millis(10);
+        clnt.total_timeout = SimTime::from_millis(30);
+        let (a, xa) = encode_sum(&mut clnt, &[1, 2]);
+        let (b, xb) = encode_sum(&mut clnt, &[3, 4]);
+        let replies = clnt.exchange_batch(&[&a, &b], &[xa, xb]).unwrap();
+        assert_eq!(decode_sum(&replies[0]), (xa, 3));
+        assert_eq!(decode_sum(&replies[1]), (xb, 7));
+        assert_eq!(clnt.failovers, 1);
+        assert_eq!(clnt.active_replica(), backup);
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! * the next sub-message would overflow the configured MTU,
 //! * the oldest queued call has lingered past the policy's virtual-time
 //!   bound, or
-//! * a **synchronous** call comes through: if it fits, it is sealed into
-//!   the same envelope (reply-expected), so one datagram carries the
-//!   whole pipeline and the sync reply acknowledges it — Sun's
-//!   "batched calls are flushed by the next non-batched call".
+//! * a **synchronous** call or batch comes through: a lone call that
+//!   fits is sealed into the same envelope (reply-expected), so one
+//!   datagram carries the whole pipeline and the sync reply acknowledges
+//!   it — Sun's "batched calls are flushed by the next non-batched call".
 //!
 //! Flushed-but-unacknowledged envelopes stay in a bounded resend window;
-//! a retransmitting sync call replays them ahead of itself, and the
-//! server's duplicate-request cache absorbs the replays, so handlers run
-//! exactly once even when the coalesced datagram itself is retransmitted.
+//! each retry round of a sync call or batch replays them ahead of its
+//! resends, and the server's duplicate-request cache absorbs the replays,
+//! so handlers run exactly once even when the coalesced datagram itself
+//! is retransmitted.
 //! Like the original Sun batch mode, an unacknowledged one-way that falls
 //! off the window (or dies with a timed-out call) is simply lost —
 //! at-most-once, by design.

@@ -19,6 +19,7 @@ pub mod clnt_tcp;
 pub mod clnt_udp;
 pub mod coalesce;
 pub mod error;
+pub mod exchange;
 pub mod msg;
 pub mod pmap;
 pub mod svc;
@@ -32,10 +33,11 @@ pub use auth::OpaqueAuth;
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use bufpool::{BufPool, PoolStats};
 pub use clnt_tcp::ClntTcp;
-pub use clnt_udp::{ClntUdp, RetryPolicy};
+pub use clnt_udp::ClntUdp;
 pub use coalesce::{CoalescePolicy, CoalesceStats};
 pub use error::RpcError;
+pub use exchange::RetryPolicy;
 pub use msg::{AcceptStat, CallHeader, MsgType, RejectStat, ReplyHeader, ReplyStat, RPC_VERS};
 pub use svc::SvcRegistry;
 pub use svc_shard::ShardedEventLoop;
-pub use transport::{BatchMode, Transport};
+pub use transport::Transport;

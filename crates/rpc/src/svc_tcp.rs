@@ -13,6 +13,7 @@
 //! a connection stay ordered while different connections dispatch on
 //! different threads.
 
+use crate::bufpool::BufPool;
 use crate::svc::SvcRegistry;
 use crate::svc_udp::{default_proc_time, ProcTimeModel};
 use specrpc_netsim::net::{Addr, Network, TcpHandler};
@@ -27,6 +28,9 @@ pub use crate::svc::Dispatcher;
 /// Record-marking reassembler + dispatcher for one connection.
 pub struct SvcTcpConn {
     dispatch: Dispatcher,
+    /// The pool the dispatcher's reply buffers come from; each goes back
+    /// once copied into the outgoing record stream.
+    pool: Arc<BufPool>,
     model: ProcTimeModel,
     buf: Vec<u8>,
     /// Payload of the record being assembled (across fragments).
@@ -36,14 +40,18 @@ pub struct SvcTcpConn {
 impl SvcTcpConn {
     /// A fresh per-connection reassembler over the shared registry.
     pub fn new(registry: Arc<SvcRegistry>, model: ProcTimeModel) -> Self {
-        Self::with_dispatcher(Arc::new(move |req: &[u8]| registry.dispatch(req)), model)
+        let pool = registry.pool().clone();
+        let dispatch = Arc::new(move |req: &[u8]| registry.dispatch(req));
+        Self::with_dispatcher(dispatch, pool, model)
     }
 
     /// A reassembler whose complete records go through an arbitrary
-    /// dispatcher (e.g. a [`serve_tcp_pinned`] worker).
-    pub fn with_dispatcher(dispatch: Dispatcher, model: ProcTimeModel) -> Self {
+    /// dispatcher (e.g. a [`serve_tcp_pinned`] worker) drawing its reply
+    /// buffers from `pool`.
+    pub fn with_dispatcher(dispatch: Dispatcher, pool: Arc<BufPool>, model: ProcTimeModel) -> Self {
         SvcTcpConn {
             dispatch,
+            pool,
             model,
             buf: Vec::new(),
             record: Vec::new(),
@@ -85,6 +93,7 @@ impl TcpHandler for SvcTcpConn {
             let header = (reply.len() as u32 | LAST_FRAG).to_be_bytes();
             out.extend_from_slice(&header);
             out.extend_from_slice(&reply);
+            self.pool.put(reply);
         }
         (out, time)
     }
@@ -181,6 +190,7 @@ pub fn serve_tcp_pinned(
     workers: usize,
     proc_time: Option<ProcTimeModel>,
 ) {
+    let bufs = registry.pool().clone();
     let pool = Arc::new(PinnedWorkers::spawn(registry, workers));
     let model: ProcTimeModel = proc_time.unwrap_or_else(default_proc_time);
     net.serve_tcp(
@@ -190,6 +200,7 @@ pub fn serve_tcp_pinned(
             let p = pool.clone();
             Box::new(SvcTcpConn::with_dispatcher(
                 Arc::new(move |request: &[u8]| p.dispatch_on(worker, request)),
+                bufs.clone(),
                 model.clone(),
             )) as Box<dyn TcpHandler>
         }),

@@ -3,21 +3,19 @@
 //! Specialization replaces *marshaling*, not the protocol machinery: a
 //! compiled stub produces the complete request image (xid first), and the
 //! transport's job is to deliver it and return the matching reply bytes.
-//! Both the datagram client ([`crate::ClntUdp`], retransmitting) and the
-//! stream client ([`crate::ClntTcp`], record-marked) provide exactly that
-//! service, so every facade path — specialized, generic, and the §6.2
-//! guard fallback — works unchanged over either.
+//! Both the datagram client ([`crate::ClntUdp`], retransmitting through
+//! the [`crate::exchange`] engine) and the stream client
+//! ([`crate::ClntTcp`], record-marked) provide exactly that service, so
+//! every facade path — specialized, generic, and the §6.2 guard fallback
+//! — works unchanged over either.
+//!
+//! Every exchange is a batch: [`Transport::call`] is a batch of one, and
+//! [`Transport::start_batch`] / [`Transport::poll_batch`] run the same
+//! batch without blocking. One delivery rule covers one-way calls: a
+//! sync call or batch carries or flushes every queued one-way ahead of
+//! itself, and its reply acknowledges them.
 
 use crate::error::RpcError;
-
-/// How [`Transport::call_batch`] ran a batch, for observability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// All requests were transmitted before any reply was awaited.
-    Pipelined,
-    /// The transport fell back to one blocking exchange per request.
-    Sequential,
-}
 
 /// A client-side RPC transport: raw pre-marshaled exchanges plus the
 /// identity of the remote program.
@@ -70,21 +68,16 @@ pub trait Transport {
             .collect()
     }
 
-    /// How this transport runs [`Transport::call_batch`].
-    fn batch_mode(&self) -> BatchMode {
-        BatchMode::Sequential
-    }
-
     /// Sun-style **one-way** (batched) call: the caller needs no reply
     /// and gives up the at-least-once guarantee for this transaction.
     ///
     /// A batching transport ([`crate::ClntUdp`] with coalescing enabled,
     /// see `ClntUdp::with_coalescing`) queues the request and returns
     /// immediately; queued calls ride to the server packed into MTU-sized
-    /// envelopes, and the next **synchronous** call flushes the batch —
-    /// its reply acknowledges the whole pipeline. A transport without a
-    /// batching surface (the default, and [`crate::ClntTcp`]) degrades to
-    /// a blocking [`Transport::call`] whose reply is discarded, which
+    /// envelopes until the next sync call or batch carries or flushes
+    /// them (the delivery rule above). A transport without a batching
+    /// surface (the default, and [`crate::ClntTcp`]) degrades to a
+    /// blocking [`Transport::call`] whose reply is discarded, which
     /// keeps the stronger delivery guarantee.
     fn call_oneway(&mut self, request: &[u8], xid: u32) -> Result<(), RpcError> {
         let reply = self.call(request, xid)?;
@@ -106,57 +99,30 @@ pub trait Transport {
         false
     }
 
-    /// Nonblocking half-exchange: transmit `request` and poll once for
-    /// its reply without advancing virtual time. `Ok(None)` means the
-    /// reply is not ready yet — keep polling with
-    /// [`Transport::poll_reply`] while something else drives the network
-    /// forward. Blocking transports default to completing the exchange
-    /// inline (never returning `Ok(None)`).
+    /// Start `requests` as one in-flight batch without waiting for its
+    /// replies: `Ok(None)` means it is on the wire — advance it with
+    /// [`Transport::poll_batch`] while something else drives the network
+    /// forward. `Ok(Some(replies))` means it completed inline, which is
+    /// what the default does, through [`Transport::call_batch`]. Starting
+    /// a batch abandons any batch still in flight.
     ///
-    /// At most one exchange may be outstanding through this surface at a
-    /// time; replies to other transactions are discarded as stale. Use
-    /// [`Transport::call_batch`] for multiple in-flight calls.
-    fn try_exchange(&mut self, request: &[u8], xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        self.call(request, xid).map(Some)
+    /// # Panics
+    /// Panics if `requests` and `xids` have different lengths.
+    fn start_batch(
+        &mut self,
+        requests: &[&[u8]],
+        xids: &[u32],
+    ) -> Result<Option<Vec<Vec<u8>>>, RpcError> {
+        self.call_batch(requests, xids).map(Some)
     }
 
-    /// Nonblocking readiness poll for the reply to an earlier
-    /// [`Transport::try_exchange`]. The default (for transports whose
-    /// `try_exchange` completes inline) always reports not-ready.
-    fn poll_reply(&mut self, xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        let _ = xid;
-        Ok(None)
-    }
-
-    /// Whether this transport has a *real* nonblocking surface: a
-    /// [`Transport::send_request`] that only transmits and a
-    /// [`Transport::poll_reply`]/[`Transport::poll_reply_any`] that can
-    /// report not-ready. The async adapter uses this to decide between
-    /// overlapping calls and degrading to the blocking path.
-    fn nonblocking(&self) -> bool {
-        false
-    }
-
-    /// Transmit `request` without polling for any reply — the multi-call
-    /// async lane, where several transactions are in flight through one
-    /// transport and replies are collected by
-    /// [`Transport::poll_reply_any`]. Errors by default: a transport
-    /// without a nonblocking surface cannot overlap calls (check
-    /// [`Transport::nonblocking`] first).
-    fn send_request(&mut self, request: &[u8], xid: u32) -> Result<(), RpcError> {
-        let _ = (request, xid);
-        Err(RpcError::Transport(
-            "transport has no nonblocking send surface".into(),
-        ))
-    }
-
-    /// Nonblocking poll matching *any* of `xids`: returns the position in
-    /// `xids` plus the reply when one has arrived. Replies matching none
-    /// of the listed xids are discarded as stale. The default (for
-    /// blocking transports) always reports not-ready.
-    fn poll_reply_any(&mut self, xids: &[u32]) -> Result<Option<(usize, Vec<u8>)>, RpcError> {
-        let _ = xids;
-        Ok(None)
+    /// Advance the batch [`Transport::start_batch`] left in flight without
+    /// blocking (`requests` are the same images, for resends): its
+    /// replies in submission order once all are in, `Ok(None)` until
+    /// then. Errors when no batch is in flight, as by default.
+    fn poll_batch(&mut self, requests: &[&[u8]]) -> Result<Option<Vec<Vec<u8>>>, RpcError> {
+        let _ = requests;
+        Err(RpcError::Transport("no batch in flight".into()))
     }
 
     /// Hand a consumed reply buffer back for reuse (no-op by default;

@@ -166,3 +166,35 @@ fn every_mode_observes_the_scheduled_crash_and_restart() {
         );
     }
 }
+
+#[test]
+fn failover_walks_every_replica_before_giving_up() {
+    // Primary and first backup are dead, the second backup serves: the
+    // failover walk must reach the live replica instead of circling back
+    // to the dead primary.
+    let net = Network::new(NetworkConfig::lan(), 7);
+    let proc_ = Arc::new(
+        ProcPipeline::new(4)
+            .build_from_idl(ECHO_IDL, None, 1)
+            .unwrap(),
+    );
+    let reg = SpecService::new()
+        .proc(proc_, |args: &StubArgs| {
+            StubArgs::new(vec![], vec![args.arrays[0].clone()])
+        })
+        .into_registry();
+    specrpc_rpc::svc_udp::serve_udp(&net, 702, reg, None);
+    let mut clnt =
+        ClntUdp::create(&net, 5000, 700, ECHO_PROG, ECHO_VERS).with_replicas(&[701, 702]);
+    clnt.retry_timeout = SimTime::from_millis(10);
+    clnt.total_timeout = SimTime::from_millis(30);
+    let xid = clnt.next_xid();
+    let mut enc = XdrMem::encoder(1 << 10);
+    generic_encode_request(&mut enc, xid, &mut vec![1, 2, 3, 4]).unwrap();
+    let reply = clnt
+        .exchange(&enc.into_bytes(), xid)
+        .expect("the live replica answers");
+    assert_eq!(reply[0..4], xid.to_be_bytes());
+    assert_eq!(clnt.failovers, 2);
+    assert_eq!(clnt.active_replica(), 702);
+}

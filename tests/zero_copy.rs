@@ -88,6 +88,51 @@ fn pooled_specialized_round_trip_allocates_zero_after_warmup() {
 }
 
 #[test]
+fn pooled_tcp_round_trip_allocates_zero_after_warmup() {
+    // The record-marked stream closes the same loop: the client reads
+    // replies into pooled buffers, and the server hands every reply
+    // buffer back to the registry pool once it is copied into the record
+    // stream — so a warm TCP call allocates nothing on the wire path.
+    use specrpc_rpc::svc_tcp::serve_tcp;
+    use specrpc_rpc::ClntTcp;
+    let n = 200;
+    let proc_ = Arc::new(
+        ProcPipeline::new(n)
+            .build_from_idl(ECHO_IDL, None, ECHO_PROC)
+            .unwrap(),
+    );
+    let net = Network::new(NetworkConfig::lan(), 31);
+    let reg = SpecService::new()
+        .proc(proc_.clone(), |args: &StubArgs| {
+            StubArgs::new(vec![], vec![args.arrays[0].clone()])
+        })
+        .into_registry();
+    serve_tcp(&net, 915, reg.clone(), None);
+    let clnt = ClntTcp::create_pooled(&net, 915, ECHO_PROG, ECHO_VERS, reg.pool().clone()).unwrap();
+    let mut client = SpecClient::from_parts(clnt, proc_);
+
+    let data = workload(n);
+    let args = client.args(vec![], vec![data.clone()]);
+    let mut out = StubArgs::default();
+    for _ in 0..10 {
+        let path = client.call_into(&args, &mut out).unwrap();
+        assert_eq!(path, PathUsed::Fast);
+        assert_eq!(out.arrays[0], data);
+    }
+    let allocs_before = client.counts.heap_allocs;
+    for round in 0..25 {
+        let path = client.call_into(&args, &mut out).unwrap();
+        assert_eq!(path, PathUsed::Fast, "round {round}");
+        assert_eq!(out.arrays[0], data, "round {round}");
+    }
+    assert_eq!(
+        client.counts.heap_allocs - allocs_before,
+        0,
+        "a warm pooled TCP call must not allocate on the wire path"
+    );
+}
+
+#[test]
 fn event_reactor_keeps_the_wire_path_allocation_free() {
     // The same steady-state bar under a one-shard, one-worker reactor:
     // the worker (and the driver's work stealing) dispatch through the
